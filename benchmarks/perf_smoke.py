@@ -41,6 +41,15 @@ and enforces these guards:
   incremental path exactly once (context built once, blocking index
   built once then patched, rematch patched), so a silently-degraded
   cache fails loudly instead of just slowly.
+* **refinement-round counter gate** — ``REFINE_ROUNDS`` Section 4.3
+  rounds on a blackboard holding the A12 pair, each one accept and one
+  reject through ``update_cell`` followed by a ``MatcherTool`` invoke
+  that reads both schemas back as new graph objects: ``fastpath_stats``
+  must show exactly one context build, no rematch patch, one blocking
+  build and one blocking hit per round (reuse is keyed on schema
+  content, not graph identity), and the warm matrix must equal a cold
+  ``fast()`` engine's given the same decisions and learned merger
+  weights.  Counters and cells only — no wall-clock ratio.
 * **sweep-backend micro-benchmark** — the same classic fixpoint on the
   same compiled A12-large edge arrays through all importable backends:
   the NumPy ``bincount`` sweep must run at least ``SWEEP_MIN_SPEEDUP``
@@ -128,6 +137,7 @@ Usage::
 
 from __future__ import annotations
 
+import copy
 import gc
 import json
 import os
@@ -190,7 +200,7 @@ from repro.rdf import (
     write_cell,
 )
 from repro.rdf import vocabulary as V
-from repro.workbench import IntegrationBlackboard
+from repro.workbench import IntegrationBlackboard, MatcherTool, WorkbenchManager
 from repro.registry import RegistryProfile, generate_registry
 from repro.text import SparseTfIdf, TfIdfCorpus, kernels, similarity
 from repro.text.tfidf_sparse import all_pairs_stats, reset_all_pairs_stats
@@ -218,6 +228,8 @@ PLANNER_MIN_SPEEDUP = 2.0
 FLOODING_MIN_SPEEDUP = 3.0
 #: a warm incremental rematch must beat a cold match by this factor
 REMATCH_MIN_SPEEDUP = 2.0
+#: accept/reject + MatcherTool rounds behind the refinement counter gate
+REFINE_ROUNDS = 4
 #: the numpy bincount sweep must beat the python loop by this factor
 SWEEP_MIN_SPEEDUP = 2.0
 #: the C sweep extension must beat the python loop by this factor
@@ -506,6 +518,82 @@ def _rematch_microbench(source, target):
         "rematch_speedup": round(cold_wall / warm_wall, 2),
         "rematch_cells": len(warm_cells),
         "rematch_sweep_backend": stats["sweep_backend"],
+    }
+
+
+def _refine_rounds_microbench(source, target):
+    """``REFINE_ROUNDS`` refinement rounds through ``MatcherTool`` on an
+    unchanged blackboard: exact ``fastpath_stats`` counters, and the
+    warm matrix equal to a cold ``fast()`` engine's given the same
+    decisions and learned merger weights."""
+    matrix_name = f"{source.name}->{target.name}"
+    engine = HarmonyEngine(config=EngineConfig.fast())
+    manager = WorkbenchManager()
+    manager.register(MatcherTool(engine))
+    board = manager.blackboard
+    with manager.transaction():
+        board.put_schema(source)
+        board.put_schema(target)
+
+    def invoke():
+        return manager.invoke("harmony", source_schema=source.name,
+                              target_schema=target.name,
+                              matrix_name=matrix_name)
+
+    # each round accepts the strongest undecided machine suggestion and
+    # rejects the runner-up, so every round carries fresh decisions
+    ranked = sorted(invoke().cells(), key=lambda c: (-c.confidence, c.pair))
+    for index in range(REFINE_ROUNDS):
+        accept, reject = ranked[2 * index], ranked[2 * index + 1]
+        with manager.transaction():
+            board.update_cell(matrix_name, *accept.pair, 1.0,
+                              user_defined=True)
+            board.update_cell(matrix_name, *reject.pair, 0.0,
+                              user_defined=True)
+        invoke()
+
+    stats = engine.fastpath_stats()
+    for counter, expected in (
+        ("context_builds", 1),
+        ("rematch_patches", 0),
+        ("blocking_builds", 1),
+        ("blocking_hits", REFINE_ROUNDS),
+    ):
+        if stats[counter] != expected:
+            raise AssertionError(
+                f"fastpath_stats[{counter!r}] == {stats[counter]} after "
+                f"{REFINE_ROUNDS} refinement rounds (expected {expected}) "
+                f"— the warm context stopped being reused across rounds")
+
+    warm = board.get_matrix(matrix_name)
+    source_now = board.get_schema(source.name)
+    target_now = board.get_schema(target.name)
+    decided = MappingMatrix.from_schemas(source_now, target_now)
+    for cell in warm.cells():
+        if cell.is_user_defined:
+            decided.set_confidence(cell.source_id, cell.target_id,
+                                   cell.confidence, user_defined=True)
+    cold = HarmonyEngine(config=EngineConfig.fast(),
+                         merger=copy.deepcopy(engine.merger))
+    # the first cold run consumes every decision the warm engine learned
+    # from in earlier rounds, so the compared run learns nothing new
+    cold.match(source_now.copy(), target_now.copy(),
+               matrix=copy.deepcopy(decided))
+    cold.match(source_now, target_now, matrix=decided)
+
+    def cells(matrix):
+        return {(c.source_id, c.target_id): (c.confidence, c.is_user_defined)
+                for c in matrix.cells()}
+
+    if cells(warm) != cells(decided):
+        raise AssertionError(
+            "refinement rounds: the warm matrix differs from a cold match "
+            "with the same decisions and merger weights")
+    return {
+        "refine_rounds": REFINE_ROUNDS,
+        "refine_context_builds": stats["context_builds"],
+        "refine_blocking_hits": stats["blocking_hits"],
+        "refine_cells": len(cells(warm)),
     }
 
 
@@ -1574,6 +1662,7 @@ def main(argv) -> int:
     result.update(_planner_microbench())
     result.update(_flooding_microbench(source, target))
     result.update(_rematch_microbench(source, target))
+    result.update(_refine_rounds_microbench(source, target))
     result.update(_sweep_microbench(source, target))
     result.update(_blocking_microbench(source, target))
     result.update(_embedding_microbench(source, target))

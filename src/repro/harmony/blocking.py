@@ -129,6 +129,13 @@ def _ngrams(text: str, n: int) -> Set[str]:
     return {text[i : i + n] for i in range(len(text) - n + 1)}
 
 
+def _dirty(pending: Optional[Tuple[Set[str], Set[str]]]) -> bool:
+    """Whether a noted evolution left element ids to re-key.  A noted
+    closure must be applied even on an unchanged epoch: graphs read back
+    from the blackboard carry the same revision whatever their content."""
+    return pending is not None and bool(pending[0] or pending[1])
+
+
 class BlockingIndex:
     """Persistent blocking state, patched across schema evolutions.
 
@@ -166,7 +173,8 @@ class BlockingIndex:
         dirty_target: Iterable[str],
     ) -> None:
         """Mark element ids whose keys may have changed; the next ensure
-        with a new revision re-keys only those (plus adds/removes)."""
+        re-keys only those (plus adds/removes), whether or not the
+        revisions moved."""
         if self._pending is None:
             self._pending = (set(), set())
         self._pending[0].update(dirty_source)
@@ -211,8 +219,8 @@ class EmbeddingBlockingIndex:
         dirty_target: Iterable[str],
     ) -> None:
         """Mark element ids whose embeddings may have changed; the next
-        ensure with a new revision re-embeds only those (plus
-        adds/removes)."""
+        ensure re-embeds only those (plus adds/removes), whether or not
+        the revisions moved."""
         if self._pending is None:
             self._pending = (set(), set())
         self._pending[0].update(dirty_source)
@@ -341,12 +349,12 @@ class CandidateBlocker:
             context.target.revision,
             self._config_signature(),
         )
-        if index._key == key and index.families:
+        pending = index._pending
+        if index._key == key and index.families and not _dirty(pending):
             index._pending = None
             index.hits += 1
             return
         old_key = index._key
-        pending = index._pending
         if (
             old_key is not None
             and pending is not None
@@ -407,12 +415,12 @@ class CandidateBlocker:
             context.target.revision,
             signature,
         )
-        if index._key == key and index.families:
+        pending = index._pending
+        if index._key == key and index.families and not _dirty(pending):
             index._pending = None
             index.hits += 1
             return
         old_key = index._key
-        pending = index._pending
         patchable = (
             old_key is not None
             and pending is not None

@@ -84,9 +84,14 @@ class EngineConfig:
     #: is bit-identical to the serial one.
     parallelism: int = 1
     #: reuse the MatchContext (tokens, TF-IDF corpus, voter scores) across
-    #: re-runs on the same unmutated schema graphs — the Section 4.3
-    #: refinement loop stops rebuilding everything each round.  Learned
-    #: word weights then accumulate across rounds instead of resetting.
+    #: re-runs on the same two schemas — the Section 4.3 refinement loop
+    #: stops rebuilding everything each round.  Reuse is keyed on schema
+    #: content, not graph identity: new graph objects with the same
+    #: content (every blackboard read returns fresh ones) reuse the
+    #: context too, while a cached graph mutated in place forces a
+    #: rebuild.  Learned word weights then accumulate across rounds —
+    #: direct engine calls and ``MatcherTool`` rounds alike — instead of
+    #: resetting.
     reuse_context: bool = False
     #: restrict classic flooding's propagation graph to the scored pairs
     #: and their one-hop neighborhood (directional flooding is already
@@ -106,14 +111,16 @@ class EngineConfig:
     #: (``repro.harmony.flooding.CompiledPCG``/``FloodingState``) —
     #: int-interned pairs, parallel ``array('l')``/``array('d')`` edge
     #: arrays, preallocated score buffers, the compiled structure cached
-    #: across runs on a (graph, revision, active-set) epoch.  Cold runs
+    #: on a (graph, revision, active-set) epoch across runs that carry
+    #: the context over (``reuse_context``).  Cold runs
     #: are bit-identical to the reference fixpoints
     #: (tests/harmony/test_flooding_compiled_differential.py)
     compiled_flooding: bool = False
-    #: let :meth:`HarmonyEngine.rematch` patch the previous run's
-    #: MatchContext, cached voter scores and compiled PCG for the
-    #: elements an evolution actually touched, instead of rebuilding from
-    #: scratch.  Builds on ``reuse_context``; warm results are
+    #: when :meth:`HarmonyEngine.match` finds the two schemas' content
+    #: changed since its cached context, patch that context, the cached
+    #: voter scores, the compiled PCG and the blocking indexes for the
+    #: elements the evolution actually touched, instead of rebuilding
+    #: from scratch.  Builds on ``reuse_context``; warm results are
     #: differentially tested identical to a cold match on the evolved
     #: schemas
     incremental_rematch: bool = False
@@ -135,9 +142,10 @@ class EngineConfig:
     sweep_backend: str = "python"
     #: keep a persistent :class:`~repro.harmony.blocking.BlockingIndex`
     #: next to the flooding state: per-element blocking keys are cached
-    #: across runs and, after an evolution, only the dirty closure is
-    #: re-keyed instead of rebuilding the inverted index from scratch —
-    #: retrieval is identical to a cold build
+    #: across runs that carry the context over (``reuse_context``) and,
+    #: after an evolution, only the dirty closure is re-keyed instead of
+    #: rebuilding the inverted index from scratch — retrieval is
+    #: identical to a cold build
     incremental_blocking: bool = False
     #: serialize mapping matrices to blackboard RDF through the bulk
     #: :func:`~repro.rdf.schema_rdf.serialize_matrix` path — precomputed
@@ -274,6 +282,8 @@ class GraphDelta:
 def graph_delta(old: SchemaGraph, new: SchemaGraph) -> GraphDelta:
     """Element- and edge-level delta between two graphs (matched by id)."""
     delta = GraphDelta()
+    if old is new:
+        return delta
     old_ids = set(old.element_ids)
     new_ids = set(new.element_ids)
     delta.added = new_ids - old_ids
@@ -410,17 +420,16 @@ class HarmonyEngine:
         cells), they are (a) left untouched, (b) excluded from flooding
         adjustments, and (c) used as feedback to reweight the voters and
         the bag-of-words vocabulary before scoring.
+
+        With ``reuse_context`` the previous run's context is carried over
+        while it still describes the two schemas, judged by content, not
+        object identity (:meth:`_reusable_context`).
         """
         if matrix is None:
             matrix = MappingMatrix.from_schemas(source, target)
-        reused = (
-            self.config.reuse_context
-            and self._last_context is not None
-            and self._last_context.is_current(source, target)
-        )
-        if reused:
-            context = self._last_context
-        else:
+        context = self._reusable_context(source, target)
+        reused = context is not None
+        if context is None:
             context = MatchContext(
                 source,
                 target,
@@ -432,6 +441,13 @@ class HarmonyEngine:
                 embedding_snapshot=self.embedding_snapshot,
             )
             self.context_builds += 1
+            # the persistent indexes key their epochs on (names,
+            # revisions), which cannot tell changed content from none;
+            # only a carried-over context vouches for them
+            for state in (self._flooding_state, self._blocking_index,
+                          self._embedding_index):
+                if state is not None:
+                    state._key = None
 
         decisions = decisions_from_matrix(matrix.cells())
         fresh_decisions = {
@@ -507,7 +523,7 @@ class HarmonyEngine:
             reused_context=reused,
         )
 
-    # -- incremental rematch -------------------------------------------------
+    # -- context reuse -------------------------------------------------------
 
     def rematch(
         self,
@@ -515,38 +531,61 @@ class HarmonyEngine:
         target: SchemaGraph,
         matrix: Optional[MappingMatrix] = None,
     ) -> MatchRun:
-        """Match after a schema evolution, reusing every still-valid cache.
+        """Match after a schema evolution: the same as :meth:`match`,
+        which already patches the cached context for whatever changed."""
+        return self.match(source, target, matrix)
 
-        The engine diffs its previous run's graphs against *source* /
-        *target* itself (element attributes, annotations and edges), then:
+    def _reusable_context(
+        self, source: SchemaGraph, target: SchemaGraph
+    ) -> Optional[MatchContext]:
+        """The previous run's context brought up to date with *source*
+        and *target*, or ``None`` when the run must build one cold.
 
-        * patches the cached :class:`MatchContext` — token caches and
-          TF-IDF documents for exactly the evolution closure (changed
-          elements, their containment ancestors/descendants, has-domain
-          referrers), rebinding it onto the new graph objects;
-        * drops cached voter scores touching the closure;
-        * marks the structurally-dirty elements so the compiled PCG is
-          patched instead of recompiled (``compiled_flooding``);
-
-        and then runs a normal :meth:`match`.  Because the surviving
-        caches are exactly the entries a cold run would recompute
-        unchanged, the resulting matrix is identical to a cold match on
-        the evolved schemas (asserted by the differential suite).  Falls
-        back to a full cold match when ``incremental_rematch`` /
-        ``reuse_context`` are off or no previous state fits.
+        New graph objects for the same two schema names (every
+        blackboard read returns fresh ones) are diffed against the
+        cached graphs.  No change: the context is rebound and keeps its
+        voter scores.  A change: with ``incremental_rematch`` every warm
+        cache is patched for it (:meth:`_patch_evolution`), otherwise
+        the run builds cold.  A cached graph mutated in place also
+        builds cold, since diffing it would miss the mutation.
         """
         context = self._last_context
         if (
-            not self.config.incremental_rematch
-            or not self.config.reuse_context
+            not self.config.reuse_context
             or context is None
+            or context.mutated
             or context.source.name != source.name
             or context.target.name != target.name
         ):
-            return self.match(source, target, matrix)
-
+            return None
+        if source is context.source and target is context.target:
+            return context
         source_delta = graph_delta(context.source, source)
         target_delta = graph_delta(context.target, target)
+        if source_delta.is_empty and target_delta.is_empty:
+            context.rebind(source, target)
+            return context
+        if not self.config.incremental_rematch:
+            return None
+        self._patch_evolution(context, source, target, source_delta, target_delta)
+        return context
+
+    def _patch_evolution(
+        self,
+        context: MatchContext,
+        source: SchemaGraph,
+        target: SchemaGraph,
+        source_delta: GraphDelta,
+        target_delta: GraphDelta,
+    ) -> None:
+        """Patch every warm cache for an evolution from the context's
+        graphs to *source* / *target*: token caches and TF-IDF documents
+        for exactly the evolution closure (changed elements, their
+        containment ancestors/descendants, has-domain referrers), the
+        voter scores touching it, and the dirty sets of the compiled
+        PCG and blocking indexes.  The surviving entries are exactly
+        what a cold run would recompute unchanged, so results equal a
+        cold match on the new schemas (the differential suites)."""
         source_closure = evolution_closure(context.source, source, source_delta)
         target_closure = evolution_closure(context.target, target, target_delta)
 
@@ -577,7 +616,6 @@ class HarmonyEngine:
             # (plus removals) is the stale set
             self._embedding_index.note_evolution(stale_source, stale_target)
         self.rematch_patches += 1
-        return self.match(source, target, matrix)
 
     # -- voter scoring ------------------------------------------------------
 

@@ -1020,12 +1020,12 @@ class FloodingState:
     """Epoch-keyed cache of the compiled PCG across engine runs.
 
     The epoch is (source name, target name, source revision, target
-    revision, active-set); a matching epoch reuses the compiled arrays
-    and buffers outright.  After a schema evolution the engine calls
-    :meth:`note_evolution` with the structurally-dirty element ids, and
-    the next :meth:`ensure` patches the compiled PCG via
-    :func:`patch_pcg` instead of recompiling.  Any other epoch change
-    falls back to a full compile.
+    revision, active-set); a matching epoch with nothing noted dirty
+    reuses the compiled arrays and buffers outright.  After a schema
+    evolution the engine calls :meth:`note_evolution` with the
+    structurally-dirty element ids, and the next :meth:`ensure` patches
+    the compiled PCG via :func:`patch_pcg` instead of recompiling.  Any
+    other epoch change falls back to a full compile.
 
     Warm starts reuse *structure only*: the fixpoint always iterates
     from σ⁰, so a warm run can never converge to different scores than a
@@ -1046,7 +1046,9 @@ class FloodingState:
         dirty_target: Iterable[str],
     ) -> None:
         """Mark element ids whose edge structure changed; the next
-        :meth:`ensure` with a new revision patches instead of rebuilding."""
+        :meth:`ensure` patches instead of rebuilding — even on an
+        unchanged epoch, since graphs read back from the blackboard carry
+        the same revision whatever their content."""
         if self._pending is None:
             self._pending = (set(), set())
         self._pending[0].update(dirty_source)
@@ -1060,7 +1062,9 @@ class FloodingState:
     ) -> CompiledPCG:
         active = None if restrict_to is None else frozenset(restrict_to)
         key = (source.name, target.name, source.revision, target.revision, active)
-        if self.compiled is not None and key == self._key:
+        dirty = self._pending is not None and bool(
+            self._pending[0] or self._pending[1])
+        if self.compiled is not None and key == self._key and not dirty:
             self._pending = None
             self.hits += 1
             return self.compiled

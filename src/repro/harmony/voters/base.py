@@ -115,21 +115,16 @@ class MatchContext:
                     if graph is source:
                         source_docs.add(doc)
         self._source_docs = frozenset(source_docs)
-        #: graph revisions at build time — is_current() compares against
-        #: these so a mutated schema forces a context rebuild.
+        #: graph revisions at build (or last rebind) time — a bound graph
+        #: whose revision moved since was mutated in place, and the
+        #: context no longer describes it (:attr:`mutated`).
         self._built_for = (source.revision, target.revision)
 
-    def is_current(self, source: SchemaGraph, target: SchemaGraph) -> bool:
-        """Whether this context still describes *source* and *target*.
-
-        True only for the same graph objects with no structural mutation
-        since the context was built.
-        """
-        return (
-            source is self.source
-            and target is self.target
-            and self._built_for == (source.revision, target.revision)
-        )
+    @property
+    def mutated(self) -> bool:
+        """Whether either bound graph was mutated in place since the
+        context was built or last rebound."""
+        return self._built_for != (self.source.revision, self.target.revision)
 
     def patch_side(self, side, new_graph, closure_ids, delta) -> None:
         """Invalidate exactly the caches a schema evolution touched.
@@ -183,8 +178,9 @@ class MatchContext:
             self._source_docs = frozenset(docs)
 
     def rebind(self, source: SchemaGraph, target: SchemaGraph) -> None:
-        """Point the context at the (possibly new) graph objects after
-        :meth:`patch_side` has been applied for both sides."""
+        """Point the context at the (possibly new) graph objects — ones
+        with the same content, or after :meth:`patch_side` has been
+        applied for both sides."""
         self.source = source
         self.target = target
         self._built_for = (source.revision, target.revision)

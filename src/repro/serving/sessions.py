@@ -38,9 +38,9 @@ class WorkbenchSession:
             self.manager = WorkbenchManager()
         #: serializes this session's job execution (program order)
         self.lock = threading.RLock()
-        #: cached schema graphs — stable object identity across jobs, so
-        #: the warm engine's MatchContext reuse (keyed on graph identity
-        #: + revision) works across a session's refinement rounds
+        #: cached schema graphs: saves one blackboard deserialization per
+        #: job.  The warm engine reuses its MatchContext by schema
+        #: content, so it would reuse it on fresh reads too.
         self.graphs: Dict[str, object] = {}
         self._engine = None
         self._closed = False

@@ -162,7 +162,5 @@ def evolve_and_rematch(
                 source_schema=source_schema,
                 target_schema=target_schema,
                 matrix_name=matrix_name,
-                evolution=diff,
-                evolved_side=side,
             )
     return report

@@ -96,19 +96,18 @@ class MatcherTool(Tool):
         source_schema: str = "",
         target_schema: str = "",
         matrix_name: Optional[str] = None,
-        evolution: Any = None,
-        evolved_side: str = "source",
         **kwargs: Any,
     ) -> MappingMatrix:
         """Run the engine over the named schemas.
 
-        *evolution* (a ``SchemaDiff``, forwarded by ``evolve_and_rematch``)
-        signals that this invocation follows a schema change; with
-        ``EngineConfig.incremental_rematch`` enabled the engine then goes
-        through :meth:`HarmonyEngine.rematch`, which self-diffs against
-        its cached state and patches instead of rebuilding.  The engine
-        diffs for itself, so the hint being stale or partial cannot
-        corrupt results — at worst it costs a cold rebuild.
+        Both schemas are read back from the blackboard, so the engine
+        sees new graph objects every round.  It decides reuse by schema
+        content (:meth:`HarmonyEngine.match`): an unchanged pair reuses
+        the warm context and its voter scores, and a pair changed by a
+        schema evolution is patched for what changed under
+        ``EngineConfig.incremental_rematch``.  Refinement rounds and
+        rematches after ``evolve_and_rematch`` therefore take the same
+        path, and no caller hint is involved.
         """
         blackboard = manager.blackboard
         source = blackboard.get_schema(source_schema)
@@ -123,17 +122,11 @@ class MatcherTool(Tool):
             (c.source_id, c.target_id): (c.confidence, c.is_user_defined)
             for c in matrix.cells()
         }
-        incremental = getattr(self.engine.config, "incremental_rematch", False)
+        config = self.engine.config
         with manager.transaction():
-            if incremental and evolution is not None:
-                self.engine.rematch(source, target, matrix=matrix)
-            else:
-                self.engine.match(source, target, matrix=matrix)
-            blackboard.put_matrix(
-                matrix,
-                delta=getattr(self.engine.config, "delta_matrix_rdf", False),
-            )
-            if getattr(self.engine.config, "batched_matrix", False):
+            self.engine.match(source, target, matrix=matrix)
+            blackboard.put_matrix(matrix, delta=config.delta_matrix_rdf)
+            if config.batched_matrix:
                 cells_updated = sum(
                     1
                     for cell in matrix.cells()

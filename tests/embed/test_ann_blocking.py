@@ -167,6 +167,33 @@ class TestAnnCandidates:
             assert ann.structure() == fresh.families[family].structure()
 
 
+    def test_equal_revision_evolution_patches(self, orders_graph, notice_graph):
+        """An evolved graph carrying the same revision as the one before
+        it — as blackboard reads do — matches the epoch: the noted
+        closure must still be re-embedded, not dropped as a hit."""
+        blocker = CandidateBlocker(BlockingConfig(strategy="ann"))
+        patched = EmbeddingBlockingIndex()
+        blocker.candidates(MatchContext(orders_graph, notice_graph), patched)
+
+        evolved = notice_graph.copy()
+        leaf = next(
+            e.element_id for e in evolved
+            if e.kind is ElementKind.ATTRIBUTE
+        )
+        evolved.element(leaf).name += "_v2"
+        evolved.revision = notice_graph.revision
+        delta = graph_delta(notice_graph, evolved)
+        closure = evolution_closure(notice_graph, evolved, delta)
+        patched.note_evolution([], closure | delta.removed)
+        warm = blocker.candidates(MatchContext(orders_graph, evolved), patched)
+
+        fresh = EmbeddingBlockingIndex()
+        cold = blocker.candidates(MatchContext(orders_graph, evolved), fresh)
+        assert (patched.builds, patched.patches, patched.hits) == (1, 1, 0)
+        assert _ordered_pairs(warm) == _ordered_pairs(cold)
+        assert patched.target_vectors == fresh.target_vectors
+
+
 def _ordered_pairs_list(pairs):
     return [(s.element_id, t.element_id) for s, t in pairs]
 

@@ -1,9 +1,18 @@
 """Tests for the fast match path: blocking, caching, parallelism, sparse flooding."""
 
+import copy
+
 import pytest
 
-from repro.core import ElementKind, SchemaElement
-from repro.eval import evaluate_matrix, standard_suite
+from repro.core import ElementKind, MappingMatrix, SchemaElement
+from repro.core.graph import CONTAINMENT_LABELS, CONTAINS_ELEMENT
+from repro.eval import (
+    ScenarioConfig,
+    air_traffic_model,
+    evaluate_matrix,
+    generate_scenario,
+    standard_suite,
+)
 from repro.harmony import (
     BlockingConfig,
     BlockingIndex,
@@ -16,6 +25,7 @@ from repro.harmony import (
     evolution_closure,
     graph_delta,
 )
+from repro.workbench import IntegrationBlackboard, MatcherTool, WorkbenchManager
 
 
 def _pair_ids(pairs):
@@ -213,8 +223,6 @@ def _ordered_pairs(result):
 def _evolve(graph):
     """A deterministic mix of the evolutions blocking keys depend on:
     rename, re-documentation, add, leaf removal and a containment move."""
-    from repro.core.graph import CONTAINMENT_LABELS, CONTAINS_ELEMENT
-
     evolved = graph.copy()
     ids = [e.element_id for e in evolved if e.element_id != evolved.root.element_id]
     renamed = ids[0]
@@ -243,6 +251,50 @@ def _evolve(graph):
                 evolved.remove_edge(edge)
         evolved.add_edge(renamed, CONTAINS_ELEMENT, movable)
     return evolved
+
+
+def _same_size_evolution(graph):
+    """Move one leaf to another parent, rename a second and redocument
+    a third.  Element and edge counts stay put, so blackboard reads of
+    both versions carry the same revision."""
+    evolved = graph.copy()
+    leaves = sorted(
+        e.element_id for e in evolved
+        if not evolved.children(e.element_id)
+        and evolved.parent(e.element_id) is not None
+    )
+    moved = leaves[0]
+    old_parent = evolved.parent(moved).element_id
+    new_parent = next(
+        evolved.parent(leaf).element_id for leaf in leaves
+        if evolved.parent(leaf).element_id not in (old_parent, moved)
+    )
+    for edge in list(evolved.in_edges(moved)):
+        if edge.label in CONTAINMENT_LABELS:
+            evolved.remove_edge(edge)
+    evolved.add_edge(new_parent, CONTAINS_ELEMENT, moved)
+    evolved.element(leaves[len(leaves) // 2]).name += "_v2"
+    evolved.element(leaves[-1]).documentation = "Freshly evolved words."
+    return evolved
+
+
+def _blackboard_reads(*graphs):
+    """Each graph as a blackboard read returns it right after its
+    ``put_schema``: a new object whose revision depends only on its
+    element and edge counts, not on their content."""
+    board = IntegrationBlackboard()
+    reads = []
+    for graph in graphs:
+        board.put_schema(graph)
+        reads.append(board.get_schema(graph.name))
+    return reads
+
+
+@pytest.fixture
+def air_traffic():
+    """The refinement-loop scenario: ``air_traffic@7`` (41×37 elements),
+    large enough that blocking prunes."""
+    return generate_scenario(air_traffic_model(), ScenarioConfig(seed=7))
 
 
 class TestBlockingIndex:
@@ -313,6 +365,36 @@ class TestBlockingIndex:
         assert _ordered_pairs(warm) == _ordered_pairs(cold)
         assert index.builds == 2 and index.patches == 0
 
+    def test_equal_revision_evolution_patches(self, air_traffic):
+        """Two schema versions read back from the blackboard carry the
+        same revision, so the epoch matches: the noted closure must
+        still be re-keyed, not dropped as an epoch hit."""
+        v1, target, v2 = _blackboard_reads(
+            air_traffic.source, air_traffic.target,
+            _same_size_evolution(air_traffic.source))
+        assert v1.revision == v2.revision
+        blocker = CandidateBlocker(BlockingConfig())
+        index = BlockingIndex()
+        blocker.candidates(MatchContext(v1, target), index)
+
+        delta = graph_delta(v1, v2)
+        closure = evolution_closure(v1, v2, delta)
+        index.note_evolution(closure | delta.removed, set())
+        context = MatchContext(v2, target)
+        warm = blocker.candidates(context, index)
+        cold = blocker.candidates(context)
+        assert _ordered_pairs(warm) == _ordered_pairs(cold)
+        assert index.builds == 1 and index.patches == 1 and index.hits == 0
+
+    def test_empty_noted_evolution_stays_a_hit(self, orders_graph, notice_graph):
+        blocker = CandidateBlocker(BlockingConfig())
+        index = BlockingIndex()
+        context = MatchContext(orders_graph, notice_graph)
+        blocker.candidates(context, index)
+        index.note_evolution((), ())
+        blocker.candidates(context, index)
+        assert index.builds == 1 and index.hits == 1 and index.patches == 0
+
     def test_key_config_change_rebuilds(self, orders_graph, notice_graph):
         index = BlockingIndex()
         context = MatchContext(orders_graph, notice_graph)
@@ -343,3 +425,159 @@ class TestBlockingIndex:
         assert stats["blocking_builds"] == 1
         assert stats["blocking_patches"] == 1
         assert stats["rematch_patches"] == 1
+
+
+MATRIX = "air_traffic->air_traffic_prime"
+
+
+def _cells(matrix):
+    return {
+        (c.source_id, c.target_id): (c.confidence, c.is_user_defined)
+        for c in matrix.cells()
+    }
+
+
+def _workbench(engine, *graphs):
+    manager = WorkbenchManager()
+    manager.register(MatcherTool(engine))
+    with manager.transaction():
+        for graph in graphs:
+            manager.blackboard.put_schema(graph)
+    return manager
+
+
+def _invoke(manager, source, target):
+    return manager.invoke("harmony", source_schema=source.name,
+                          target_schema=target.name, matrix_name=MATRIX)
+
+
+class TestContentKeyedReuse:
+    """``HarmonyEngine.match`` reuses its context by schema content: new
+    graph objects with the same content hit, changed content patches,
+    and a cached graph mutated in place rebuilds."""
+
+    ROUNDS = 4
+
+    def test_new_objects_with_same_content_hit(self, orders_graph, notice_graph):
+        engine = HarmonyEngine(config=EngineConfig.fast())
+        engine.match(orders_graph, notice_graph)
+        run = engine.match(orders_graph.copy(), notice_graph.copy())
+        assert run.reused_context
+        assert engine.context_builds == 1 and engine.rematch_patches == 0
+
+    def test_refinement_rounds_build_one_context(self, air_traffic):
+        """N MatcherTool rounds with accept/reject decisions on an
+        unchanged blackboard: each round reads the schemas back as new
+        graph objects and still reuses the first round's context.  The
+        final matrix equals a cold engine's given the same decisions and
+        the same learned merger weights."""
+        source, target = air_traffic.source, air_traffic.target
+        engine = HarmonyEngine(config=EngineConfig.fast())
+        manager = _workbench(engine, source, target)
+        board = manager.blackboard
+        _invoke(manager, source, target)
+        truth = sorted(air_traffic.alignment.pairs)
+        for index in range(self.ROUNDS):
+            accept = truth[index]
+            reject = (truth[index + self.ROUNDS][0], truth[index][1])
+            with manager.transaction():
+                board.update_cell(MATRIX, *accept, 1.0, user_defined=True)
+                board.update_cell(MATRIX, *reject, 0.0, user_defined=True)
+            _invoke(manager, source, target)
+
+        stats = engine.fastpath_stats()
+        assert engine.context_builds == 1
+        assert stats["rematch_patches"] == 0
+        assert stats["blocking_builds"] == 1
+        assert stats["blocking_hits"] == self.ROUNDS
+
+        warm = board.get_matrix(MATRIX)
+        source_now = board.get_schema(source.name)
+        target_now = board.get_schema(target.name)
+        decided = MappingMatrix.from_schemas(source_now, target_now)
+        for cell in warm.cells():
+            if cell.is_user_defined:
+                decided.set_confidence(cell.source_id, cell.target_id,
+                                       cell.confidence, user_defined=True)
+        cold = HarmonyEngine(config=EngineConfig.fast(),
+                             merger=copy.deepcopy(engine.merger))
+        # the warm engine learned from every decision in earlier rounds;
+        # a first cold run on copies consumes them the same way, so the
+        # compared run learns nothing new either
+        cold.match(source_now.copy(), target_now.copy(),
+                   matrix=copy.deepcopy(decided))
+        cold.match(source_now, target_now, matrix=decided)
+        assert _cells(warm) == _cells(decided)
+
+    def test_put_schema_then_plain_invoke_patches(self, air_traffic):
+        """A changed schema put on the blackboard, then a plain invoke
+        with no evolution hint: the engine finds the change itself and
+        patches, with the result of a cold match on the new schemas."""
+        source, target = air_traffic.source, air_traffic.target
+        engine = HarmonyEngine(config=EngineConfig.fast())
+        manager = _workbench(engine, source, target)
+        board = manager.blackboard
+        _invoke(manager, source, target)
+        with manager.transaction():
+            board.put_schema(_same_size_evolution(source))
+        before = board.get_matrix(MATRIX)
+        matrix = _invoke(manager, source, target)
+
+        stats = engine.fastpath_stats()
+        assert engine.context_builds == 1
+        assert stats["rematch_patches"] == 1
+        assert stats["blocking_builds"] == 1
+        assert stats["blocking_patches"] == 1
+        HarmonyEngine(config=EngineConfig.fast()).match(
+            board.get_schema(source.name), board.get_schema(target.name),
+            matrix=before)
+        assert _cells(matrix) == _cells(before)
+
+    @pytest.mark.parametrize("fresh_object", [False, True])
+    def test_cached_graph_mutated_in_place_rebuilds(
+            self, orders_graph, notice_graph, fresh_object):
+        """Diffing a cached graph mutated in place would find no change
+        — against itself or against a copy of its new content — so the
+        engine must build cold."""
+        engine = HarmonyEngine(config=EngineConfig.fast())
+        engine.match(orders_graph, notice_graph)
+        orders_graph.add_child(
+            "orders/customer",
+            SchemaElement(element_id="orders/customer/fax", name="fax",
+                          kind=ElementKind.ATTRIBUTE),
+        )
+        source = orders_graph.copy() if fresh_object else orders_graph
+        run = engine.rematch(source, notice_graph)
+        assert not run.reused_context
+        assert engine.context_builds == 2 and engine.rematch_patches == 0
+        cold = HarmonyEngine(config=EngineConfig.fast()).match(
+            orders_graph.copy(), notice_graph.copy())
+        assert _cells(run.matrix) == _cells(cold.matrix)
+
+    def test_cold_context_rebuilds_persistent_indexes(self, air_traffic):
+        """A cached graph moved in place keeps its element and edge
+        counts, so a copy of it carries the revision the blocking index
+        was keyed on.  The context is rebuilt cold, and the index must
+        not serve its (names, revisions) epoch as a hit either."""
+        def config():
+            # a tight budget, so stale keys change which pairs are scored
+            return EngineConfig.fast(blocking=BlockingConfig(budget=2))
+
+        source, target = air_traffic.source.copy(), air_traffic.target
+        engine = HarmonyEngine(config=config())
+        engine.match(source, target)
+        keyed_revision = source.revision
+        moved = _same_size_evolution(source)
+        for edge in list(source.edges):
+            source.remove_edge(edge)
+        for edge in moved.edges:
+            source.add_edge(edge.subject, edge.label, edge.object)
+        copy_of_moved = source.copy()
+        assert copy_of_moved.revision == keyed_revision
+
+        run = engine.match(copy_of_moved, target)
+        stats = engine.fastpath_stats()
+        assert engine.context_builds == 2
+        assert stats["blocking_builds"] == 2 and stats["blocking_hits"] == 0
+        cold = HarmonyEngine(config=config()).match(source.copy(), target)
+        assert _cells(run.matrix) == _cells(cold.matrix)

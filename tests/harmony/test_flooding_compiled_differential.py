@@ -31,7 +31,7 @@ from hypothesis import strategies as st
 
 from repro.core import ElementKind, SchemaElement, SchemaGraph
 from repro.core.graph import CONTAINMENT_LABELS, CONTAINS_ELEMENT
-from repro.harmony import EngineConfig, HarmonyEngine
+from repro.harmony import BlockingConfig, EngineConfig, HarmonyEngine, graph_delta
 from repro.harmony.flooding import (
     DirectionalConfig,
     FloodingConfig,
@@ -358,6 +358,33 @@ class TestIncrementalPatch:
         for pair, value in warm.items():
             assert abs(value - cold[pair]) <= TOLERANCE
 
+    @given(seeds, seeds, seeds, seeds)
+    @settings(max_examples=15, deadline=None)
+    def test_equal_revision_evolution_is_patched(self, s1, s2, s3, s4):
+        """An evolved graph carrying the same revision as the one before
+        it — as blackboard reads do — matches the epoch: a noted
+        structural change must still patch the PCG, not read as a hit."""
+        source, sids = _random_graph("s", s1, size=8)
+        target, tids = _random_graph("t", s2, size=8)
+        initial = _random_initial(sids, tids, s3, n=12)
+
+        state = FloodingState()
+        state.flood(source, target, initial)
+        evolved = _random_evolution(source, sids, s4)
+        evolved.revision = source.revision
+        delta = graph_delta(source, evolved)
+        dirty = delta.structural | delta.added | delta.removed
+        state.note_evolution(dirty, ())
+        warm = state.flood(evolved, target, initial)
+        assert (state.patches, state.hits) == ((1, 0) if dirty else (0, 1))
+
+        fresh = compile_pcg(evolved, target)
+        assert _structure_of(state.compiled) == _structure_of(fresh)
+        cold = classic_flooding(evolved, target, initial)
+        assert set(warm) == set(cold)
+        for pair, value in warm.items():
+            assert abs(value - cold[pair]) <= TOLERANCE
+
     def test_containment_only_rewire_is_patched(self):
         """Regression: moving an element between parents changes *edges
         only* — the flooding state must still invalidate and repatch."""
@@ -410,22 +437,38 @@ def _cells(matrix):
     }
 
 
+def _assert_close(warm_cells, cold_cells):
+    """Same cells and decisions, confidences within ``TOLERANCE`` (a
+    patched PCG reassociates edge-order float sums)."""
+    assert set(warm_cells) == set(cold_cells)
+    for pair, (confidence, decided) in warm_cells.items():
+        cold_conf, cold_decided = cold_cells[pair]
+        assert decided == cold_decided
+        assert abs(confidence - cold_conf) <= TOLERANCE
+
+
 class TestEngineWarmVsCold:
+    """Both entry points — ``rematch`` and a plain ``match`` on the
+    evolved copies — take the same content-keyed patch path."""
+
     @given(seeds, seeds, seeds)
     @settings(max_examples=10, deadline=None)
     def test_rematch_matrix_identical_to_cold(self, s1, s2, s4):
         source, sids = _random_graph("s", s1)
         target, tids = _random_graph("t", s2)
         evolved = _random_evolution(source, sids, s4)
+        changed = not graph_delta(source, evolved).is_empty
 
-        warm = HarmonyEngine(config=EngineConfig.fast())
-        warm.match(source, target)
-        warm_run = warm.rematch(evolved, target)
         cold = HarmonyEngine(config=EngineConfig.fast())
-        cold_run = cold.match(evolved, target)
-        assert _cells(warm_run.matrix) == _cells(cold_run.matrix)
-        assert warm.rematch_patches == 1
-        assert warm_run.reused_context
+        cold_cells = _cells(cold.match(evolved, target).matrix)
+        for method in ("rematch", "match"):
+            warm = HarmonyEngine(config=EngineConfig.fast())
+            warm.match(source, target)
+            warm_run = getattr(warm, method)(evolved, target)
+            assert _cells(warm_run.matrix) == cold_cells, method
+            assert warm.rematch_patches == int(changed)
+            assert warm.context_builds == 1
+            assert warm_run.reused_context
 
     @given(seeds, seeds, seeds)
     @settings(max_examples=6, deadline=None)
@@ -435,18 +478,32 @@ class TestEngineWarmVsCold:
         evolved = _random_evolution(source, sids, s4)
         config = dict(flooding="classic")
 
+        cold = HarmonyEngine(config=EngineConfig.fast(**config))
+        cold_cells = _cells(cold.match(evolved, target).matrix)
+        for method in ("rematch", "match"):
+            warm = HarmonyEngine(config=EngineConfig.fast(**config))
+            warm.match(source, target)
+            warm_cells = _cells(getattr(warm, method)(evolved, target).matrix)
+            _assert_close(warm_cells, cold_cells)
+
+    @given(seeds, seeds, seeds)
+    @settings(max_examples=6, deadline=None)
+    def test_equal_revision_evolution_identical_to_cold(self, s1, s2, s4):
+        """The evolved copy carries the revision of the version before
+        it, as blackboard reads do: ``match`` must still patch the
+        blocking index and the compiled PCG instead of serving them
+        stale under a matching epoch."""
+        source, sids = _random_graph("s", s1)
+        target, tids = _random_graph("t", s2)
+        evolved = _random_evolution(source, sids, s4)
+        evolved.revision = source.revision
+        config = dict(flooding="classic", blocking=BlockingConfig(budget=2))
+
         warm = HarmonyEngine(config=EngineConfig.fast(**config))
         warm.match(source, target)
-        warm_run = warm.rematch(evolved, target)
+        warm_cells = _cells(warm.match(evolved, target).matrix)
         cold = HarmonyEngine(config=EngineConfig.fast(**config))
-        cold_run = cold.match(evolved, target)
-        warm_cells = _cells(warm_run.matrix)
-        cold_cells = _cells(cold_run.matrix)
-        assert set(warm_cells) == set(cold_cells)
-        for pair, (confidence, decided) in warm_cells.items():
-            cold_conf, cold_decided = cold_cells[pair]
-            assert decided == cold_decided
-            assert abs(confidence - cold_conf) <= TOLERANCE
+        _assert_close(warm_cells, _cells(cold.match(evolved, target).matrix))
 
     def test_rematch_of_target_side(self):
         source, sids = _random_graph("s", 21)
@@ -479,4 +536,5 @@ class TestEngineWarmVsCold:
         builds = engine.context_builds
         run = engine.rematch(source.copy(), target.copy())
         assert engine.context_builds == builds  # no context rebuild
+        assert engine.rematch_patches == 0  # nothing to patch: a hit
         assert run.reused_context

@@ -103,3 +103,37 @@ def test_repeat_match_on_warm_engine_is_stable(make_server, load_pair):
     cells = lambda m: {(c.source_id, c.target_id): c.confidence
                        for c in m.cells()}
     assert cells(first) == cells(second)
+
+
+#: the two cells session A accepts in the leak test below
+_ACCEPTS = (
+    ("orders/customer/first_name",
+     "notice/shippingNotice/recipientName/firstName"),
+    ("orders/customer/last_name",
+     "notice/shippingNotice/recipientName/lastName"),
+)
+
+
+def test_process_worker_keeps_sessions_apart(
+        make_server, load_pair, orders_ddl_text, notice_xsd_text):
+    """One process worker serves two sessions in turn.  Session A's
+    accepts (learned merger weights, consumed decisions, its match
+    context) must not reach session B, whose first match of the
+    identical pair must equal a fresh engine's."""
+    server = make_server(workers=1, executor="process")
+    load_pair(server, "a")
+    load_pair(server, "b")
+    server.match("a", "orders", "notice").result(300)
+    for source_id, target_id in _ACCEPTS:
+        server.update_cell("a", "orders->notice", source_id, target_id,
+                           1.0, user_defined=True).result(60)
+    server.match("a", "orders", "notice").result(300)
+    got = server.match("b", "orders", "notice").result(300)
+
+    source = load_sql(orders_ddl_text, "orders")
+    target = load_xsd(notice_xsd_text, "notice")
+    fresh = HarmonyEngine(config=ServingConfig().resolved_engine_config())
+    expected = fresh.match(source, target).matrix
+    cells = lambda m: {(c.source_id, c.target_id): c.confidence
+                       for c in m.cells()}
+    assert cells(got) == cells(expected)
