@@ -50,6 +50,14 @@ and enforces these guards:
   content, not graph identity), and the warm matrix must equal a cold
   ``fast()`` engine's given the same decisions and learned merger
   weights.  Counters and cells only — no wall-clock ratio.
+* **blackboard-view counter gate** — in the same rounds, after the
+  first one every ``get_schema`` / ``get_matrix`` must be served from
+  the blackboard's typed views (``IntegrationBlackboard.stats``: hits
+  only, no misses), every matrix write must be diffed against a view,
+  and the matrix triples each write adds and removes must equal what
+  the full slice-diff oracle (``tests/workbench/matrix_oracle.py``)
+  adds and removes over the same store, landing the same triples.
+  Counters only — no wall-clock ratio.
 * **sweep-backend micro-benchmark** — the same classic fixpoint on the
   same compiled A12-large edge arrays through all importable backends:
   the NumPy ``bincount`` sweep must run at least ``SWEEP_MIN_SPEEDUP``
@@ -209,6 +217,9 @@ from repro.text.tokenize import split_identifier
 from nway_workload import NWAY_THRESHOLD, family_workload
 
 HERE = os.path.dirname(os.path.abspath(__file__))
+# the full slice-diff oracle the blackboard-view gate compares writes with
+sys.path.insert(0, os.path.join(os.path.dirname(HERE), "tests", "workbench"))
+from matrix_oracle import oracle_changes  # noqa: E402
 BASELINE_PATH = os.path.join(HERE, "results", "BENCH_perf_baseline.json")
 PERF_PATH = os.path.join(HERE, "results", "BENCH_perf.json")
 
@@ -543,6 +554,7 @@ def _refine_rounds_microbench(source, target):
     # each round accepts the strongest undecided machine suggestion and
     # rejects the runner-up, so every round carries fresh decisions
     ranked = sorted(invoke().cells(), key=lambda c: (-c.confidence, c.pair))
+    written = removed = 0
     for index in range(REFINE_ROUNDS):
         accept, reject = ranked[2 * index], ranked[2 * index + 1]
         with manager.transaction():
@@ -550,7 +562,31 @@ def _refine_rounds_microbench(source, target):
                               user_defined=True)
             board.update_cell(matrix_name, *reject.pair, 0.0,
                               user_defined=True)
-        invoke()
+        before = board.store.snapshot()
+        views, counts = board.stats(), serialization_stats()
+        matrix = invoke()
+        reads = {key: board.stats()[key] - views[key] for key in views}
+        if reads != {"schema_view_hits": 2, "schema_view_misses": 0,
+                     "matrix_view_hits": 1, "matrix_view_misses": 0,
+                     "matrix_writes_viewed": 1, "matrix_writes_cold": 0}:
+            raise AssertionError(
+                f"refinement round {index + 1}: blackboard view counters "
+                f"{reads} — a read parsed RDF or a write was not diffed "
+                f"against the matrix view")
+        oracle_store = TripleStore()
+        oracle_store.add_many(sorted(before, key=Triple.sort_key))
+        fresh, stale = oracle_changes(matrix, oracle_store)
+        now = serialization_stats()
+        wrote = now["matrix_triples_written"] - counts["matrix_triples_written"]
+        dropped = now["matrix_triples_removed"] - counts["matrix_triples_removed"]
+        if ((wrote, dropped) != (len(fresh), len(stale))
+                or board.store.snapshot() != (before - set(stale)) | set(fresh)):
+            raise AssertionError(
+                f"refinement round {index + 1}: the matrix write added "
+                f"{wrote} and removed {dropped} triples; the full diff "
+                f"adds {len(fresh)} and removes {len(stale)}")
+        written += wrote
+        removed += dropped
 
     stats = engine.fastpath_stats()
     for counter, expected in (
@@ -594,6 +630,8 @@ def _refine_rounds_microbench(source, target):
         "refine_context_builds": stats["context_builds"],
         "refine_blocking_hits": stats["blocking_hits"],
         "refine_cells": len(cells(warm)),
+        "refine_view_triples_written": written,
+        "refine_view_triples_removed": removed,
     }
 
 
@@ -971,8 +1009,9 @@ def _serialize_microbench():
     row, and the new state must land with no stale cell triples left
     behind.  The generic per-cell loop can only do that correctly by
     clearing and rewriting every part; ``serialize_matrix(delta=True)``
-    diffs against the stored subject slices and touches the changed
-    triples alone.  Both must land the identical store state."""
+    — given no view, as here — reads the stored matrix, diffs the
+    matrix against it and touches the changed triples alone.  Both must
+    land the identical store state."""
     matrix = MappingMatrix("serialize-bench")
     for i in range(SERIALIZE_MATRIX_SIDE):
         matrix.add_row(f"s/e{i}")

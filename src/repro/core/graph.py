@@ -67,7 +67,10 @@ class SchemaGraph:
             raise SchemaError("schema graph needs a non-empty name")
         self.name = name
         self._elements: Dict[str, SchemaElement] = {}
-        self._edges: Set[SchemaEdge] = set()
+        #: every edge, in insertion order (a dict used as an ordered set),
+        #: so :meth:`copy` can replay them and reproduce each element's
+        #: out- and in-edge order
+        self._edges: Dict[SchemaEdge, None] = {}
         self._out: Dict[str, List[SchemaEdge]] = {}
         self._in: Dict[str, List[SchemaEdge]] = {}
         #: bumped on every structural mutation; caches keyed on (graph,
@@ -128,7 +131,7 @@ class SchemaGraph:
             raise SchemaError("edge label must be non-empty")
         edge = SchemaEdge(subject, label, obj)
         if edge not in self._edges:
-            self._edges.add(edge)
+            self._edges[edge] = None
             self._out[subject].append(edge)
             self._in[obj].append(edge)
             self.revision += 1
@@ -146,7 +149,7 @@ class SchemaGraph:
 
     def remove_edge(self, edge: SchemaEdge) -> None:
         if edge in self._edges:
-            self._edges.discard(edge)
+            del self._edges[edge]
             self._out[edge.subject].remove(edge)
             self._in[edge.object].remove(edge)
             self.revision += 1
@@ -361,7 +364,12 @@ class SchemaGraph:
         return "\n".join(lines)
 
     def copy(self, name: Optional[str] = None) -> "SchemaGraph":
-        """Structural deep copy, optionally renamed (keeps element ids)."""
+        """Structural deep copy, optionally renamed (keeps element ids).
+
+        Elements and edges are replayed in insertion order, so the copy
+        iterates its elements and each element's out- and in-edges in
+        the same order as the original.
+        """
         clone = SchemaGraph(name or self.name)
         for element in self:
             clone.add_element(element.copy())

@@ -139,6 +139,10 @@ class MappingMatrix:
         """The stored cell, or None if never touched (no materialization)."""
         return self._cells.get((source_id, target_id))
 
+    def remove_cell(self, source_id: str, target_id: str) -> None:
+        """Forget a cell: back to "no opinion yet" (a no-op if absent)."""
+        self._cells.pop((source_id, target_id), None)
+
     def set_confidence(
         self,
         source_id: str,
@@ -195,6 +199,26 @@ class MappingMatrix:
             cell.confidence = confidence
             written += 1
         return written
+
+    def load_cells(self, entries: Iterable[Tuple[str, str, float, bool]]) -> None:
+        """Bulk load of stored cells: ``(source_id, target_id, confidence,
+        is_user_defined)`` tuples, each landing as given (replacing any
+        cell of the same pair).
+
+        What reading a matrix back from the blackboard needs: the same
+        checks as :meth:`set_confidence` (known row and column, a legal
+        confidence, ±1 for a user decision) at one object per cell.
+        """
+        rows = self._rows
+        columns = self._columns
+        cells = self._cells
+        for source_id, target_id, confidence, user_defined in entries:
+            if source_id not in rows:
+                raise MappingError(f"no row for source element {source_id!r}")
+            if target_id not in columns:
+                raise MappingError(f"no column for target element {target_id!r}")
+            cells[(source_id, target_id)] = Correspondence(
+                source_id, target_id, confidence, user_defined)
 
     def cells(self) -> Iterator[Correspondence]:
         """All materialized cells."""

@@ -147,11 +147,11 @@ class EngineConfig:
     #: rebuilding the inverted index from scratch — retrieval is
     #: identical to a cold build
     incremental_blocking: bool = False
-    #: serialize mapping matrices to blackboard RDF through the bulk
-    #: :func:`~repro.rdf.schema_rdf.serialize_matrix` path — precomputed
-    #: IRI interning plus one ``add_many``, and in delta mode a diff
-    #: against the stored cell set so re-serializing after a rematch
-    #: touches only changed cells (idempotent, no stale cell triples)
+    #: write mapping matrices to blackboard RDF through the delta mode
+    #: of :func:`~repro.rdf.schema_rdf.serialize_matrix`: the matrix is
+    #: diffed against the blackboard's typed view of the stored version,
+    #: so re-serializing after a rematch or an evolution touches only
+    #: changed cells (idempotent, no stale cell triples)
     delta_matrix_rdf: bool = False
     #: add the dense hash-projection :class:`EmbeddingVoter` to the
     #: default voter panel (``repro.embed``: signed feature hashing over
@@ -170,10 +170,10 @@ class EngineConfig:
     #: Backends agree to ≤1e-12 (tests/embed/)
     embed_backend: str = "python"
     #: serialize evolved schemas to blackboard RDF through the delta
-    #: :func:`~repro.rdf.schema_rdf.serialize_schema` path — the term
-    #: level diff against ``TripleStore.subject_slice`` the matrix path
-    #: already uses, restricted (when the previous graph version is
-    #: known) to the elements the evolution actually touched, so
+    #: :func:`~repro.rdf.schema_rdf.serialize_schema` path — a term
+    #: level diff against ``TripleStore.subject_slice``, restricted (when
+    #: the previous graph version is known) to the elements the
+    #: evolution actually touched, so
     #: evolve→serialize is O(delta) instead of a whole-graph rewrite.
     #: Consulted by :func:`~repro.workbench.evolution.evolve_and_rematch`
     #: when it republishes the evolved schema

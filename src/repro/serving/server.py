@@ -344,7 +344,9 @@ class WorkbenchServer:
                 new_graph,
                 delta=getattr(engine_config, "delta_schema_rdf", False),
                 previous=old_graph)
-            blackboard.put_matrix(matrix)
+            blackboard.put_matrix(
+                matrix,
+                delta=getattr(engine_config, "delta_matrix_rdf", False))
             session.manager.events.publish(SchemaGraphEvent(
                 source_tool=_SERVING_TOOL, schema_name=new_graph.name))
         session.graphs[new_graph.name] = new_graph

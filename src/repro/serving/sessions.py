@@ -38,9 +38,11 @@ class WorkbenchSession:
             self.manager = WorkbenchManager()
         #: serializes this session's job execution (program order)
         self.lock = threading.RLock()
-        #: cached schema graphs: saves one blackboard deserialization per
-        #: job.  The warm engine reuses its MatchContext by schema
-        #: content, so it would reuse it on fresh reads too.
+        #: cached schema graphs, replaced by the session's own schema
+        #: writes.  A blackboard read of an unchanged schema is a view
+        #: hit (no RDF parsed) but still builds a new graph; handing the
+        #: warm engine the same object every job also spares it the
+        #: content diff against its cached context.
         self.graphs: Dict[str, object] = {}
         self._engine = None
         self._closed = False

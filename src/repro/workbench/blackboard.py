@@ -9,11 +9,21 @@ this class is the typed facade tools use: put/get schema graphs and
 mapping matrices, cell-level updates, the shared focus context
 (Section 5.1.3), and durable save/load so a blackboard can be *"shared
 across multiple workbench instances"*.
+
+The triples stay the only state.  Next to them the blackboard keeps one
+typed view per schema and matrix it has read or written
+(:class:`~repro.rdf.schema_rdf.SchemaView`,
+:class:`~repro.rdf.schema_rdf.MatrixView`), so a refinement round that
+re-reads unchanged schemas parses no RDF and a matrix write touches only
+the cells that changed.  The store's own batch change stream keeps the
+views exact: a change to any subject a view was read from or written to
+drops that view, whoever made the change.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional, Tuple
+import weakref
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..core.correspondence import Correspondence
 from ..core.errors import StoreError
@@ -25,6 +35,7 @@ from ..rdf.namespace import IW_NS
 from ..rdf.store import TripleStore
 from ..rdf.serialize import from_ntriples, to_ntriples
 from ..rdf.term import IRI, Literal, literal
+from ..rdf.triple import Triple
 from ..rdf import vocabulary as V
 
 #: Well-known subject carrying workbench-wide state (focus, etc.).
@@ -41,6 +52,18 @@ class IntegrationBlackboard:
     restart), :meth:`checkpoint` compacts the log, and the WAL frame
     stream can feed read-only replicas.  ``fsync`` and
     ``auto_checkpoint_bytes`` pass through to the durable layer.
+
+    Reads are served from typed views where possible: :meth:`get_schema`
+    and :meth:`get_matrix` build the object from the view of the last
+    read or write instead of parsing RDF, and always return exactly what
+    a fresh :func:`~repro.rdf.schema_rdf.rdf_to_schema` /
+    :func:`~repro.rdf.schema_rdf.rdf_to_matrix` of the store would (same
+    content, iteration order and graph ``revision``).  A view is dropped
+    as soon as any triple of a subject it was read from changes —
+    through this class, a direct ``store`` write, a transaction
+    rollback, a provenance entry or a replicated delta alike.
+    :meth:`stats` counts view hits, misses and how matrix writes were
+    diffed.
     """
 
     def __init__(
@@ -63,6 +86,57 @@ class IntegrationBlackboard:
         else:
             self.durability = None
             self.store = store if store is not None else TripleStore()
+        self._schema_views: Dict[str, schema_rdf.SchemaView] = {}
+        self._matrix_views: Dict[str, schema_rdf.MatrixView] = {}
+        #: subject -> (the views dict, the name) of the view read from it;
+        #: entries of dropped views stay and at worst drop a later view
+        self._view_of: Dict[object, Tuple[dict, str]] = {}
+        self._watching = False
+        self._stats = dict.fromkeys((
+            "schema_view_hits", "schema_view_misses",
+            "matrix_view_hits", "matrix_view_misses",
+            "matrix_writes_viewed", "matrix_writes_cold",
+        ), 0)
+
+    # -- typed views ----------------------------------------------------------------
+
+    def _keep(self, views: dict, name: str, view: object,
+              subjects: Sequence[object]) -> None:
+        """Keep ``views[name] = view``, dropped when any of *subjects*
+        changes (subjects of the view registered before stay watched)."""
+        views[name] = view
+        if not self._watching:
+            # a weak reference: the store must not keep the blackboard
+            # (and its views) alive, nor form a cycle with it
+            board = weakref.ref(self)
+
+            def on_changes(changes: Sequence[Tuple[bool, Triple]]) -> None:
+                live = board()
+                if live is not None:
+                    live._invalidate(changes)
+
+            self.store.subscribe_batch(on_changes)
+            self._watching = True
+        entry = (views, name)
+        view_of = self._view_of
+        for subject in subjects:
+            view_of[subject] = entry
+
+    def _invalidate(self, changes: Sequence[Tuple[bool, Triple]]) -> None:
+        if not (self._schema_views or self._matrix_views):
+            return
+        view_of = self._view_of
+        for _added, triple in changes:
+            entry = view_of.get(triple.subject)
+            if entry is not None:
+                entry[0].pop(entry[1], None)
+
+    def stats(self) -> Dict[str, int]:
+        """View counters: hits and misses of :meth:`get_schema` and
+        :meth:`get_matrix`, and delta matrix writes diffed against a
+        view (``matrix_writes_viewed``) or after a cold read of the
+        stored matrix (``matrix_writes_cold``)."""
+        return dict(self._stats)
 
     # -- schemata -----------------------------------------------------------------
 
@@ -90,7 +164,22 @@ class IntegrationBlackboard:
         return schema_rdf.schema_to_rdf(graph, self.store)
 
     def get_schema(self, name: str) -> SchemaGraph:
-        return schema_rdf.rdf_to_schema(self.store, name)
+        """The stored schema graph, as a new object.
+
+        Built from the schema's view when the stored triples did not
+        change since the last read; otherwise read with
+        :func:`~repro.rdf.schema_rdf.rdf_to_schema`, which keeps the view.
+        """
+        view = self._schema_views.get(name)
+        if view is not None:
+            self._stats["schema_view_hits"] += 1
+            return schema_rdf.schema_from_view(view)
+        self._stats["schema_view_misses"] += 1
+        read: Dict[str, schema_rdf.SchemaView] = {}
+        graph = schema_rdf.rdf_to_schema(self.store, name, views=read)
+        if name in read:
+            self._keep(self._schema_views, name, read[name], read[name].subjects)
+        return graph
 
     def has_schema(self, name: str) -> bool:
         return name in self.schema_names()
@@ -108,14 +197,46 @@ class IntegrationBlackboard:
         """Write (or replace) a whole mapping matrix.
 
         With ``delta=True`` (the ``EngineConfig.delta_matrix_rdf`` path)
-        the write diffs against the stored cell set and touches only
-        changed triples — idempotent either way, never leaving stale
-        cells behind.
+        the write diffs the matrix against the stored version's view
+        (:func:`~repro.rdf.schema_rdf.serialize_matrix` with
+        ``previous=``) and touches only the triples of changed parts,
+        so a refinement round's write costs O(changed cells); without a
+        current view it reads the stored matrix first
+        (:func:`~repro.rdf.schema_rdf.read_matrix_view`).  Idempotent
+        either way, never leaving stale cells behind.  After a delta
+        write the written matrix's view is kept, so the next
+        :meth:`get_matrix` parses no RDF.
         """
-        return schema_rdf.serialize_matrix(matrix, self.store, delta=delta)
+        view = self._matrix_views.pop(matrix.name, None)
+        if not delta:
+            return schema_rdf.serialize_matrix(matrix, self.store)
+        if view is None:
+            self._stats["matrix_writes_cold"] += 1
+            view = schema_rdf.read_matrix_view(self.store, matrix.name)
+        else:
+            self._stats["matrix_writes_viewed"] += 1
+        m_iri = schema_rdf.serialize_matrix(
+            matrix, self.store, delta=True, previous=view)
+        if view.problem is None:
+            self._keep(self._matrix_views, matrix.name, view, view.subjects())
+        return m_iri
 
     def get_matrix(self, name: str) -> MappingMatrix:
-        return schema_rdf.rdf_to_matrix(self.store, name)
+        """The stored mapping matrix, as a new object.
+
+        Built from the matrix's view when no stored triple of it changed
+        since the last read or write; otherwise read with
+        :func:`~repro.rdf.schema_rdf.rdf_to_matrix`, which keeps the view.
+        """
+        view = self._matrix_views.get(name)
+        if view is not None:
+            self._stats["matrix_view_hits"] += 1
+            return schema_rdf.matrix_from_view(view)
+        self._stats["matrix_view_misses"] += 1
+        read: Dict[str, schema_rdf.MatrixView] = {}
+        matrix = schema_rdf.rdf_to_matrix(self.store, name, views=read)
+        self._keep(self._matrix_views, name, read[name], read[name].subjects())
+        return matrix
 
     def has_matrix(self, name: str) -> bool:
         return name in self.matrix_names()
@@ -136,7 +257,11 @@ class IntegrationBlackboard:
         confidence: float,
         user_defined: bool = False,
     ) -> Correspondence:
-        """Write one cell's confidence directly into the triple layout."""
+        """Write one cell's confidence directly into the triple layout.
+
+        The matrix's view, when current, is patched for the cell, so the
+        next :meth:`get_matrix` is still served from memory.
+        """
         cell = Correspondence(source_id, target_id)
         if user_defined:
             if confidence >= 1.0:
@@ -145,7 +270,10 @@ class IntegrationBlackboard:
                 cell.reject()
         else:
             cell.suggest(confidence)
-        schema_rdf.write_cell(self.store, matrix_name, cell)
+        view = self._matrix_views.pop(matrix_name, None)
+        c_iri = schema_rdf.write_cell(self.store, matrix_name, cell)
+        if view is not None and view.note_cell(self.store, c_iri, cell):
+            self._keep(self._matrix_views, matrix_name, view, (c_iri,))
         return cell
 
     def cell_confidence(
@@ -198,6 +326,10 @@ class IntegrationBlackboard:
 
     def close(self) -> None:
         """Flush and release the durable layer (no-op when in-memory)."""
+        # a closed durable store still applies a mutation before its WAL
+        # listener rejects it, and that rejection stops the view listener
+        self._schema_views.clear()
+        self._matrix_views.clear()
         if self.durability is not None:
             self.durability.close()
 

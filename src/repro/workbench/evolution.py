@@ -11,7 +11,10 @@ engineer (and the engine) re-examine exactly what the change affected:
 * **renamed / retyped / redocumented** elements keep user decisions —
   the engineer's judgment usually survives a rename — but machine
   suggestions touching them are reset to "no opinion", because the
-  evidence they were based on changed.
+  evidence they were based on changed.  The cells are dropped: a
+  missing cell already means "no opinion, confidence 0", and the
+  rematch then writes exactly the cells a cold match of the new
+  version would.
 """
 
 from __future__ import annotations
@@ -101,17 +104,20 @@ def apply_evolution(
                 matrix.add_column(element_id, schema_name=schema_name)
                 report.axes_added.append(element_id)
 
-    # changed elements: reset machine opinions, keep user decisions, and
-    # re-open the completion flag — the sub-tree is no longer "done"
+    # changed elements: drop machine opinions (a cell the rematch no
+    # longer retrieves must not linger as a 0.0 that a cold match never
+    # writes), keep user decisions, and re-open the completion flag —
+    # the sub-tree is no longer "done"
     for cell in list(matrix.cells()):
         anchor = cell.source_id if is_row else cell.target_id
         if anchor not in affected:
             continue
         if cell.is_decided:
             report.decisions_kept.append(cell.pair)
-        elif cell.confidence != 0.0:
-            cell.suggest(0.0)
+            continue
+        if cell.confidence != 0.0:
             report.suggestions_reset.append(cell.pair)
+        matrix.remove_cell(cell.source_id, cell.target_id)
     for element_id in affected:
         if is_row and element_id in matrix.row_ids:
             matrix.mark_row_complete(element_id, complete=False)
@@ -134,6 +140,9 @@ def evolve_and_rematch(
     Stores the new schema version, diffs, updates the matrix on the
     blackboard, and re-invokes the matcher tool so the added/reset cells
     get fresh scores — all inside one transaction, per the §5.3 protocol.
+    The schema and matrix writes follow the matcher engine's
+    ``delta_schema_rdf`` / ``delta_matrix_rdf``, so an evolve step writes
+    only the triples it changes.
     """
     from .versioning import diff_schemas
 
@@ -141,18 +150,17 @@ def evolve_and_rematch(
     blackboard = manager.blackboard
     matrix = blackboard.get_matrix(matrix_name)
     report = apply_evolution(matrix, diff, side=side, schema_name=new_graph.name)
-    delta_schema = False
     try:
         tool = manager.tool(matcher_tool)
     except Exception:
         tool = None
-    engine = getattr(tool, "engine", None)
-    config = getattr(engine, "config", None)
-    if config is not None:
-        delta_schema = bool(getattr(config, "delta_schema_rdf", False))
+    config = getattr(getattr(tool, "engine", None), "config", None)
     with manager.transaction():
-        blackboard.put_schema(new_graph, delta=delta_schema, previous=old_graph)
-        blackboard.put_matrix(matrix)
+        blackboard.put_schema(
+            new_graph, delta=bool(getattr(config, "delta_schema_rdf", False)),
+            previous=old_graph)
+        blackboard.put_matrix(
+            matrix, delta=bool(getattr(config, "delta_matrix_rdf", False)))
     if report.needs_rematch:
         source_schema = new_graph.name if side == "source" else other_schema
         target_schema = other_schema if side == "source" else new_graph.name

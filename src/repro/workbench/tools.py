@@ -100,9 +100,12 @@ class MatcherTool(Tool):
     ) -> MappingMatrix:
         """Run the engine over the named schemas.
 
-        Both schemas are read back from the blackboard, so the engine
-        sees new graph objects every round.  It decides reuse by schema
-        content (:meth:`HarmonyEngine.match`): an unchanged pair reuses
+        Both schemas and the matrix are read back from the blackboard,
+        so the engine sees new graph objects every round; objects whose
+        triples did not change are built from the blackboard's typed
+        views, not parsed from RDF, and the matrix write touches only
+        the changed cells.  The engine decides reuse by schema content
+        (:meth:`HarmonyEngine.match`): an unchanged pair reuses
         the warm context and its voter scores, and a pair changed by a
         schema evolution is patched for what changed under
         ``EngineConfig.incremental_rematch``.  Refinement rounds and

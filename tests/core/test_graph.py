@@ -140,6 +140,24 @@ class TestMutation:
         assert sorted(clone.element_ids) == sorted(small_graph.element_ids)
         assert clone.edges == small_graph.edges
 
+    def test_copy_keeps_edge_order(self):
+        """A copy iterates its elements and each element's out- and
+        in-edges in the original's order, whatever the hash seed."""
+        graph = SchemaGraph.create("s")
+        for i in reversed(range(30)):
+            graph.add_child("s", SchemaElement(f"s/T{i}", f"T{i}", ElementKind.TABLE))
+        for i in range(29):
+            graph.add_edge(f"s/T{29 - i}", "references", f"s/T{i}")
+            graph.add_edge(f"s/T{i}", "references", "s/T0" if i else "s/T29")
+        graph.remove_edge(graph.out_edges("s")[3])
+        clone = graph.copy()
+
+        def order(g):
+            return [(eid, g.out_edges(eid), g.in_edges(eid)) for eid in g.element_ids]
+
+        assert order(clone) == order(graph)
+        assert clone.revision == len(graph) + len(graph.edges)
+
 
 class TestValidation:
     def test_valid_graph_has_no_problems(self, small_graph):

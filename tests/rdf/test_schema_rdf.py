@@ -1,6 +1,10 @@
 """Tests for schema/matrix ↔ RDF conversions (the IB's triple layout)."""
 
+import json
+import os
 import random
+import subprocess
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -27,6 +31,58 @@ from repro.rdf import (
     serialize_schema,
 )
 from repro.core import MappingMatrix
+
+
+_READ_BACK = """
+import json, sys
+from repro.workbench import IntegrationBlackboard
+board = IntegrationBlackboard.load(sys.argv[1])
+graph = board.get_schema(sys.argv[2])
+matrix = board.get_matrix(sys.argv[3])
+print(json.dumps([
+    [[eid, [str(e) for e in graph.out_edges(eid)],
+      [str(e) for e in graph.in_edges(eid)]] for eid in graph.element_ids],
+    matrix.row_ids, matrix.column_ids, [list(c.pair) for c in matrix.cells()],
+]))
+"""
+
+
+class TestStableReadOrder:
+    def test_reads_do_not_depend_on_the_hash_seed(self, tmp_path):
+        """The same N-Triples blackboard reads back identically — element,
+        edge, row, column and cell order — under two hash seeds (blocking
+        pads candidates in element order, so this keeps matches equal
+        across processes)."""
+        from repro.workbench import IntegrationBlackboard
+
+        graph = _evolution_graph(3, size=40, name="seeded")
+        for seed in range(8):
+            _mutate(graph, seed)
+        target = _evolution_graph(4, size=30, name="other")
+        matrix = MappingMatrix.from_schemas(graph, target)
+        for index, (row, column) in enumerate(
+                zip(matrix.row_ids * 2, matrix.column_ids * 3)):
+            matrix.set_confidence(row, column, (index % 9) / 10)
+        board = IntegrationBlackboard()
+        board.put_schema(graph)
+        board.put_matrix(matrix)
+        path = str(tmp_path / "board.nt")
+        board.save(path)
+
+        import repro
+
+        src = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
+
+        def read(seed):
+            env = dict(os.environ, PYTHONHASHSEED=str(seed), PYTHONPATH=src)
+            out = subprocess.run(
+                [sys.executable, "-c", _READ_BACK, path, graph.name, matrix.name],
+                env=env, capture_output=True, text=True, check=True)
+            return json.loads(out.stdout)
+
+        first, second = read(1), read(2)
+        assert first == second
+        assert [row[0] for row in first[0]] == sorted(graph.element_ids)
 
 
 class TestSchemaRoundtrip:

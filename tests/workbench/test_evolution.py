@@ -309,3 +309,133 @@ class TestDeltaSchemaSerialization:
 
         assert EngineConfig.fast().delta_schema_rdf is True
         assert EngineConfig().delta_schema_rdf is False
+
+
+def _ledger(renamed: bool = False):
+    """A source with one attribute a target attribute matches by name,
+    and a target table big enough for blocking to prune: after the
+    rename, fourteen ``zulu`` targets fill the renamed attribute's
+    candidate budget (``zulu`` is rare enough to count: 14 of 30), so
+    no zero-overlap target is padded in and the rematch never retrieves
+    the old pair, whatever the element order."""
+    source = SchemaGraph.create("ledger")
+    source.add_child("ledger", SchemaElement(
+        "ledger/orders", "orders", ElementKind.TABLE))
+    source.add_child("ledger/orders", SchemaElement(
+        "ledger/orders/code", "zulu_marker" if renamed else "alpha_code",
+        ElementKind.ATTRIBUTE, datatype="string"))
+    source.add_child("ledger/orders", SchemaElement(
+        "ledger/orders/total", "order_total", ElementKind.ATTRIBUTE,
+        datatype="decimal"))
+    target = SchemaGraph.create("depot")
+    target.add_child("depot", SchemaElement(
+        "depot/shipments", "shipments", ElementKind.TABLE))
+    names = (["alpha_code", "order_total"] + [f"zulu_{i}" for i in range(14)]
+             + [f"pad_{i}" for i in range(14)])
+    for name in names:
+        target.add_child("depot/shipments", SchemaElement(
+            f"depot/shipments/{name}", name, ElementKind.ATTRIBUTE,
+            datatype="string"))
+    return source, target
+
+
+def _cells(matrix):
+    return {c.pair: (c.confidence, c.is_user_defined) for c in matrix.cells()}
+
+
+class TestEvolutionMatchesColdMatch:
+    """Finding (e): a machine suggestion on an evolved element that the
+    rematch no longer retrieves must not linger as a 0.0 cell that a
+    cold match of the new version never writes."""
+
+    OLD_PAIR = ("ledger/orders/code", "depot/shipments/alpha_code")
+
+    def _workbench(self):
+        from repro.harmony import EngineConfig, HarmonyEngine
+
+        engine = HarmonyEngine(config=EngineConfig.fast())
+        manager = WorkbenchManager()
+        manager.register(MatcherTool(engine))
+        v1, target = _ledger()
+        with manager.transaction():
+            manager.blackboard.put_schema(v1)
+            manager.blackboard.put_schema(target)
+        matrix = manager.invoke("harmony", source_schema="ledger",
+                                target_schema="depot", matrix_name="m")
+        assert matrix.peek(*self.OLD_PAIR).confidence > 0
+        manager.blackboard.update_cell(
+            "m", "ledger/orders/total", "depot/shipments/order_total", 1.0,
+            user_defined=True)
+        return engine, manager, v1
+
+    def test_evolve_and_rematch_equals_a_cold_match(self):
+        import copy
+
+        from repro.harmony import EngineConfig, HarmonyEngine
+
+        engine, manager, v1 = self._workbench()
+        v2, _target = _ledger(renamed=True)
+        report = evolve_and_rematch(manager, "m", v1, v2, side="source",
+                                    other_schema="depot")
+        assert self.OLD_PAIR in report.suggestions_reset
+        board = manager.blackboard
+        warm = board.get_matrix("m")
+        assert warm.peek(*self.OLD_PAIR) is None
+        # a missing cell still reads as "no opinion, confidence 0"
+        assert board.get_matrix("m").cell(*self.OLD_PAIR).confidence == 0.0
+
+        source, target = board.get_schema("ledger"), board.get_schema("depot")
+        decided = MappingMatrix.from_schemas(source, target)
+        for cell in warm.cells():
+            if cell.is_user_defined:
+                decided.set_confidence(cell.source_id, cell.target_id,
+                                       cell.confidence, user_defined=True)
+        cold = HarmonyEngine(config=EngineConfig.fast(),
+                             merger=copy.deepcopy(engine.merger))
+        cold.match(source.copy(), target.copy(), matrix=copy.deepcopy(decided))
+        cold.match(source, target, matrix=decided)
+        assert _cells(warm) == _cells(decided)
+
+    def test_an_evolve_step_writes_only_the_changed_triples(self):
+        """Finding (b): under ``delta_matrix_rdf`` the evolve step's matrix
+        write touches only the triples that change, and lands the same
+        store as the bulk rewrite."""
+        import dataclasses
+
+        from repro.harmony import EngineConfig, HarmonyEngine
+        from repro.rdf import serialization_stats
+        from repro.rdf.schema_rdf import MATRIX_BASE
+
+        def evolve(config):
+            manager = WorkbenchManager()
+            manager.register(MatcherTool(HarmonyEngine(config=config)))
+            v1, target = _ledger()
+            with manager.transaction():
+                manager.blackboard.put_schema(v1)
+                manager.blackboard.put_schema(target)
+            manager.invoke("harmony", source_schema="ledger",
+                           target_schema="depot", matrix_name="m")
+            store = manager.blackboard.store
+            before, counts = store.snapshot(), serialization_stats()
+            # no other_schema: the evolve step alone, without the rematch
+            evolve_and_rematch(manager, "m", v1, _ledger(renamed=True)[0],
+                               side="source")
+            now = serialization_stats()
+            return before, store.snapshot(), {
+                key: now[key] - counts[key] for key in now}
+
+        before, after, delta = evolve(EngineConfig.fast())
+        bulk_before, bulk_after, bulk = evolve(
+            dataclasses.replace(EngineConfig.fast(), delta_matrix_rdf=False))
+        assert (before, after) == (bulk_before, bulk_after)
+
+        def matrix_triples(triples):
+            return {t for t in triples if t.subject in MATRIX_BASE}
+
+        assert delta["matrix_bulk_serializations"] == 0
+        assert delta["matrix_triples_written"] == len(matrix_triples(after - before))
+        assert delta["matrix_triples_removed"] == len(matrix_triples(before - after))
+        # the bulk path removes and rewrites the whole matrix
+        assert bulk["matrix_triples_written"] == len(matrix_triples(after))
+        assert 0 < (delta["matrix_triples_written"] + delta["matrix_triples_removed"]
+                    < bulk["matrix_triples_written"] + bulk["matrix_triples_removed"])
