@@ -6,7 +6,11 @@ and enforces these guards:
 
 * **relative** — the fast path must stay at least ``MIN_SPEEDUP`` times
   faster than the default path *measured on the same machine in the same
-  process*, so the check is immune to host speed;
+  process*, so the check is immune to host speed.  Both arms run the
+  engine's one match pipeline (string kernels, sparse TF-IDF, compiled
+  flooding); the default arm runs it without candidate blocking or
+  context reuse, so the ratio measures what blocking buys on a cold
+  match;
 * **absolute** — the fast-path wall time must not exceed the committed
   baseline (``results/BENCH_perf_baseline.json``) by more than
   ``PERF_SMOKE_TOLERANCE`` (default 2.0×), catching regressions that slow
@@ -111,7 +115,8 @@ and enforces these guards:
   (snapshot + WAL-tail replay) must be at least ``RECOVERY_MIN_SPEEDUP``
   times faster than rebuilding the same state from schema sources —
   re-importing the registry and re-running the default-config matches
-  whose decided mappings the blackboard holds.
+  (the one pipeline without blocking) whose decided mappings the
+  blackboard holds.
 * **N-way parallel gate** — ``match_all_pairs(parallelism=k)`` over the
   50-schema family workload (``nway_workload``) must run at least
   ``NWAY_MIN_PARALLEL_SPEEDUP`` times faster than the serial loop under
@@ -177,7 +182,6 @@ from repro.harmony.blocking import _family
 from repro.harmony.flooding import (
     FloodingConfig,
     FloodingState,
-    classic_flooding,
     compile_pcg,
     reset_sweep_run_stats,
     sweep_run_stats,
@@ -191,7 +195,6 @@ from repro.rdf import (
     TripleStore,
     Variable,
     evaluate_planned,
-    evaluate_reference,
     column_iri,
     element_iri,
     literal,
@@ -217,9 +220,13 @@ from repro.text.tokenize import split_identifier
 from nway_workload import NWAY_THRESHOLD, family_workload
 
 HERE = os.path.dirname(os.path.abspath(__file__))
-# the full slice-diff oracle the blackboard-view gate compares writes with
+# the test oracles the relative gates compare the production code with:
+# the flooding and query references, and the full slice-diff oracle the
+# blackboard-view gate compares writes with
+sys.path.insert(0, os.path.dirname(HERE))
 sys.path.insert(0, os.path.join(os.path.dirname(HERE), "tests", "workbench"))
 from matrix_oracle import oracle_changes  # noqa: E402
+from tests.oracles import classic_flooding, evaluate_reference  # noqa: E402
 BASELINE_PATH = os.path.join(HERE, "results", "BENCH_perf_baseline.json")
 PERF_PATH = os.path.join(HERE, "results", "BENCH_perf.json")
 
@@ -912,8 +919,6 @@ def _embedding_microbench(source, target):
     config = EngineConfig(
         embedding=True,
         blocking=BlockingConfig(strategy="ann"),
-        incremental_blocking=True,
-        incremental_rematch=True,
         reuse_context=True,
     )
     warm_engine = HarmonyEngine(config=config)
@@ -1320,7 +1325,8 @@ def _durability_microbench(source, target):
 
     **Recovery speedup** — a blackboard holding an 80-model registry's
     schemas plus the decided mappings of ``DURABILITY_MATCH_PAIRS``
-    default-config matches (≥100k triples) is checkpointed, reopened
+    default-config matches (the one pipeline without blocking; ≥100k
+    triples) is checkpointed, reopened
     (snapshot decode + ``bulk_load`` + WAL-tail replay), and the open
     time is compared against rebuilding the identical state from schema
     sources: re-importing the registry, re-running every match, and

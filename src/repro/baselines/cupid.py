@@ -18,7 +18,6 @@ from ..core.matrix import MappingMatrix
 from ..harmony.voters.base import kinds_comparable
 from ..loaders.base import types_compatible
 from ..text.kernels import MongeElkanKernel
-from ..text.similarity import monge_elkan
 from ..text.stemmer import stem
 from ..text.thesaurus import Thesaurus
 from ..text.tokenize import split_identifier
@@ -32,7 +31,6 @@ class CupidStyleMatcher(Matcher):
         self,
         structure_weight: float = 0.5,
         thesaurus: Thesaurus = None,
-        use_kernels: bool = True,
     ) -> None:
         if not 0.0 <= structure_weight <= 1.0:
             raise ValueError("structure_weight must be in [0,1]")
@@ -40,9 +38,7 @@ class CupidStyleMatcher(Matcher):
         self.thesaurus = thesaurus if thesaurus is not None else Thesaurus.default()
         #: memoized Monge-Elkan around the thesaurus token measure — the
         #: bottom-up ``_ssim`` recursion re-scores the same token pairs
-        #: constantly.  ``use_kernels=False`` restores the direct
-        #: (reference) evaluation; results are identical either way.
-        self.use_kernels = use_kernels
+        #: constantly
         self._monge_elkan = MongeElkanKernel(self._token_sim)
 
     # -- linguistic similarity ------------------------------------------------------
@@ -61,11 +57,7 @@ class CupidStyleMatcher(Matcher):
         return 0.0
 
     def _lsim(self, s: SchemaElement, t: SchemaElement) -> float:
-        tokens_s = self._tokens(s)
-        tokens_t = self._tokens(t)
-        if self.use_kernels:
-            return self._monge_elkan.similarity(tokens_s, tokens_t)
-        return monge_elkan(tokens_s, tokens_t, base=self._token_sim)
+        return self._monge_elkan.similarity(self._tokens(s), self._tokens(t))
 
     # -- structural similarity (bottom-up over leaf sets) ----------------------------
 

@@ -13,7 +13,7 @@ from typing import Dict, Tuple
 
 from ..core.graph import SchemaGraph
 from ..core.matrix import MappingMatrix
-from ..harmony.flooding import FloodingConfig, classic_flooding
+from ..harmony.flooding import FloodingConfig, FloodingState
 from ..harmony.voters.base import kinds_comparable
 from ..text.similarity import ngram_similarity
 from .base import Matcher
@@ -38,7 +38,7 @@ class FloodingOnlyMatcher(Matcher):
                 if seed >= self.seed_floor:
                     initial[(s.element_id, t.element_id)] = seed
 
-        flooded = classic_flooding(source, target, initial, config=self.config)
+        flooded = FloodingState().flood(source, target, initial, config=self.config)
         for (source_id, target_id), similarity in flooded.items():
             if source_id in (source_root,) or target_id in (target_root,):
                 continue

@@ -175,10 +175,8 @@ class MappingMatrix:
 
         Semantically one :meth:`set_confidence` per entry (validation
         included, user-decided cells left untouched) but in a single pass
-        over pre-resolved axis dicts — the batched-matrix path the engine
-        uses under ``EngineConfig.batched_matrix``.  Returns how many
-        cells actually took a suggestion, which the matcher tool reports
-        in its coalesced ``MappingMatrixEvent``.
+        over pre-resolved axis dicts — how the engine writes its
+        results.  Returns how many cells actually took a suggestion.
         """
         rows = self._rows
         columns = self._columns

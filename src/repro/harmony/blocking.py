@@ -26,12 +26,12 @@ like IDF).  Ties at the cut keep *all* tied targets, and elements with
 no key overlap at all are padded back up to the budget in deterministic
 order — the recall budget is a floor, never a filter on its own.
 
-Behind ``EngineConfig.incremental_blocking`` the engine keeps a
-persistent :class:`BlockingIndex` next to its ``FloodingState``: per-
-element key sets are cached across runs, and after a schema evolution
-only the dirty closure is re-keyed (:meth:`BlockingIndex.note_evolution`)
-before the postings are reassembled in current-graph order — identical
-retrieval, without paying key extraction for untouched elements.
+The engine keeps a persistent :class:`BlockingIndex` next to its
+``FloodingState``: per-element key sets are cached across runs, and
+after a schema evolution only the dirty closure is re-keyed
+(:meth:`BlockingIndex.note_evolution`) before the postings are
+reassembled in current-graph order — identical retrieval, without
+paying key extraction for untouched elements.
 """
 
 from __future__ import annotations

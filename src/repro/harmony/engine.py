@@ -41,8 +41,6 @@ from .flooding import (
     FloodingConfig,
     FloodingState,
     SweepBackend,
-    classic_flooding,
-    directional_flooding,
     directional_flooding_compiled,
     resolve_sweep_backend,
 )
@@ -63,10 +61,13 @@ FLOODING_DIRECTIONAL = "directional"
 class EngineConfig:
     """Tunable knobs of the Harmony engine.
 
-    The performance knobs (`blocking`, `parallelism`, `reuse_context`,
-    `sparse_flooding`) all default to the exhaustive, serial,
-    rebuild-everything behavior so results stay bit-identical unless a
-    caller opts in; :meth:`fast` is the everything-on preset.
+    There is one match pipeline: memoized string kernels, the sparse
+    TF-IDF cosine, compiled flooding fixpoints and a bulk matrix write.
+    The knobs left are behavioural (flooding mode, learning, candidate
+    blocking, context reuse) or pick a backend for the same arithmetic.
+    The defaults score the full cross-product and rebuild the context
+    every run; :meth:`fast` turns on blocking, context reuse and the
+    accelerated backends.
     """
 
     flooding: str = FLOODING_DIRECTIONAL
@@ -77,7 +78,9 @@ class EngineConfig:
     learning_rate: float = 0.25
     learn_word_weights: bool = True
     #: candidate blocking stage — ``None`` scores the full kind-compatible
-    #: cross-product, a :class:`BlockingConfig` prunes it first
+    #: cross-product, a :class:`BlockingConfig` prunes it first.  The
+    #: blocking index persists next to the context and is patched, not
+    #: rebuilt, after an evolution
     blocking: Optional[BlockingConfig] = None
     #: voter-scoring threads; 1 (or 0) = serial.  Parallel runs chunk the
     #: candidate pairs and merge results in chunk order, so the vote list
@@ -88,78 +91,29 @@ class EngineConfig:
     #: stops rebuilding everything each round.  Reuse is keyed on schema
     #: content, not graph identity: new graph objects with the same
     #: content (every blackboard read returns fresh ones) reuse the
-    #: context too, while a cached graph mutated in place forces a
-    #: rebuild.  Learned word weights then accumulate across rounds —
-    #: direct engine calls and ``MatcherTool`` rounds alike — instead of
-    #: resetting.
+    #: context too, a schema evolution patches the context, the voter
+    #: scores, the compiled PCG and the blocking indexes for the elements
+    #: it touched, and a cached graph mutated in place forces a rebuild.
+    #: Learned word weights then accumulate across rounds — direct engine
+    #: calls and ``MatcherTool`` rounds alike — instead of resetting, so
+    #: with learning on this changes results from the third round on
     reuse_context: bool = False
-    #: restrict classic flooding's propagation graph to the scored pairs
-    #: and their one-hop neighborhood (directional flooding is already
-    #: sparse by construction)
-    sparse_flooding: bool = False
-    #: score string similarity through the memoized ``repro.text.kernels``
-    #: instead of the reference ``repro.text.similarity`` — differentially
-    #: tested equal to 1e-12 (tests/text/test_kernels_differential.py)
-    similarity_kernels: bool = False
-    #: score documentation cosine through the sparse id-interned TF-IDF
-    #: engine (``repro.text.tfidf_sparse``): one postings-list
-    #: ``all_pairs`` sweep per corpus instead of a dict cosine per pair —
-    #: differentially tested equal to 1e-12
-    #: (tests/text/test_tfidf_sparse_differential.py)
-    sparse_tfidf: bool = False
-    #: run the flooding fixpoints over the compiled edge-array PCG
-    #: (``repro.harmony.flooding.CompiledPCG``/``FloodingState``) —
-    #: int-interned pairs, parallel ``array('l')``/``array('d')`` edge
-    #: arrays, preallocated score buffers, the compiled structure cached
-    #: on a (graph, revision, active-set) epoch across runs that carry
-    #: the context over (``reuse_context``).  Cold runs
-    #: are bit-identical to the reference fixpoints
-    #: (tests/harmony/test_flooding_compiled_differential.py)
-    compiled_flooding: bool = False
-    #: when :meth:`HarmonyEngine.match` finds the two schemas' content
-    #: changed since its cached context, patch that context, the cached
-    #: voter scores, the compiled PCG and the blocking indexes for the
-    #: elements the evolution actually touched, instead of rebuilding
-    #: from scratch.  Builds on ``reuse_context``; warm results are
-    #: differentially tested identical to a cold match on the evolved
-    #: schemas
-    incremental_rematch: bool = False
-    #: populate the mapping matrix through the bulk
-    #: :meth:`MappingMatrix.set_cells` path, and let the matcher tool
-    #: publish one coalesced ``MappingMatrixEvent`` (``cells_updated``)
-    #: instead of a ``MappingCellEvent`` per changed cell
-    batched_matrix: bool = False
     #: which :class:`~repro.harmony.flooding.SweepBackend` runs the
-    #: compiled flooding sweeps (classic and directional): ``"python"``
-    #: (the reference gather/scatter loop, zero dependencies),
-    #: ``"numpy"`` (vectorized ``np.bincount`` sweeps over zero-copy
-    #: views of the edge arrays — requires the ``fast`` extra), ``"c"``
-    #: (the compiled ``_csweep`` extension — built by ``pip install .``
-    #: with a C compiler, or runtime-compiled via cffi), or ``"auto"``
-    #: (probes c → numpy → python, silently falling back).  Only
-    #: consulted when ``compiled_flooding`` runs a fixpoint; backends
-    #: agree to ≤1e-12 (tests/harmony/test_sweep_backends.py)
+    #: flooding sweeps (classic and directional): ``"python"`` (the
+    #: gather/scatter loop, zero dependencies), ``"numpy"`` (vectorized
+    #: ``np.bincount`` sweeps over zero-copy views of the edge arrays —
+    #: requires the ``fast`` extra), ``"c"`` (the compiled ``_csweep``
+    #: extension — built by ``pip install .`` with a C compiler, or
+    #: runtime-compiled via cffi), or ``"auto"`` (probes c → numpy →
+    #: python, silently falling back).  Backends agree to ≤1e-12
+    #: (tests/harmony/test_sweep_backends.py)
     sweep_backend: str = "python"
-    #: keep a persistent :class:`~repro.harmony.blocking.BlockingIndex`
-    #: next to the flooding state: per-element blocking keys are cached
-    #: across runs that carry the context over (``reuse_context``) and,
-    #: after an evolution, only the dirty closure is re-keyed instead of
-    #: rebuilding the inverted index from scratch — retrieval is
-    #: identical to a cold build
-    incremental_blocking: bool = False
-    #: write mapping matrices to blackboard RDF through the delta mode
-    #: of :func:`~repro.rdf.schema_rdf.serialize_matrix`: the matrix is
-    #: diffed against the blackboard's typed view of the stored version,
-    #: so re-serializing after a rematch or an evolution touches only
-    #: changed cells (idempotent, no stale cell triples)
-    delta_matrix_rdf: bool = False
     #: add the dense hash-projection :class:`EmbeddingVoter` to the
     #: default voter panel (``repro.embed``: signed feature hashing over
     #: name tokens, subword n-grams and documentation terms, scored by
-    #: cosine).  Off by default — and deliberately not yet part of
-    #: :meth:`fast`, which stays output-identical to the reference
-    #: pipeline; opt in per engine.  Ignored when an explicit voter list
-    #: is passed
+    #: cosine).  Off by default and not part of :meth:`fast`, since it
+    #: changes the scores; opt in per engine.  Ignored when an explicit
+    #: voter list is passed
     embedding: bool = False
     #: which :class:`~repro.embed.embedder.EmbedBackend` runs the
     #: embedding/ANN math (the embedding voter and
@@ -169,32 +123,15 @@ class EngineConfig:
     #: or ``"auto"`` (probes numpy → python, silently falling back).
     #: Backends agree to ≤1e-12 (tests/embed/)
     embed_backend: str = "python"
-    #: serialize evolved schemas to blackboard RDF through the delta
-    #: :func:`~repro.rdf.schema_rdf.serialize_schema` path — a term
-    #: level diff against ``TripleStore.subject_slice``, restricted (when
-    #: the previous graph version is known) to the elements the
-    #: evolution actually touched, so
-    #: evolve→serialize is O(delta) instead of a whole-graph rewrite.
-    #: Consulted by :func:`~repro.workbench.evolution.evolve_and_rematch`
-    #: when it republishes the evolved schema
-    delta_schema_rdf: bool = False
 
     @classmethod
     def fast(cls, **overrides) -> "EngineConfig":
-        """The all-optimizations-on preset (see docs/performance.md)."""
+        """Blocking, context reuse and the accelerated backends on (see
+        docs/performance.md)."""
         defaults = dict(
             blocking=BlockingConfig(),
             reuse_context=True,
-            sparse_flooding=True,
-            similarity_kernels=True,
-            sparse_tfidf=True,
-            compiled_flooding=True,
-            incremental_rematch=True,
-            batched_matrix=True,
             sweep_backend="auto",
-            incremental_blocking=True,
-            delta_matrix_rdf=True,
-            delta_schema_rdf=True,
             # embedding math rides the accelerated backend when present;
             # the voter and ANN blocking stay opt-in until their recall
             # gates have run on the caller's corpus (perf_smoke gates
@@ -388,15 +325,15 @@ class HarmonyEngine:
         #: re-run would compound weights, the over-crediting the paper's
         #: Section 4.3 warns about)
         self._consumed_decisions: set = set()
-        #: compiled-PCG cache for ``config.compiled_flooding`` (epoch-keyed,
-        #: patched incrementally after evolutions)
+        #: compiled-PCG cache for classic flooding (epoch-keyed, patched
+        #: incrementally after evolutions)
         self._flooding_state: Optional[FloodingState] = None
-        #: persistent blocking index for ``config.incremental_blocking``
-        #: (epoch-keyed key-set cache, patched after evolutions)
+        #: persistent blocking index (epoch-keyed key-set cache, patched
+        #: after evolutions)
         self._blocking_index: Optional[BlockingIndex] = None
-        #: persistent ANN blocking state (``strategy="ann"`` with
-        #: ``incremental_blocking``): per-element vectors plus per-family
-        #: LSH indexes, epoch-keyed and patched like ``_blocking_index``
+        #: persistent ANN blocking state (``strategy="ann"``): per-element
+        #: vectors plus per-family LSH indexes, epoch-keyed and patched
+        #: like ``_blocking_index``
         self._embedding_index: Optional[EmbeddingBlockingIndex] = None
         #: resolved sweep backend, memoized per selector so ``auto``
         #: probes importlib once per engine, not once per run
@@ -434,8 +371,6 @@ class HarmonyEngine:
                 source,
                 target,
                 thesaurus=self.thesaurus,
-                use_kernels=self.config.similarity_kernels,
-                use_sparse_tfidf=self.config.sparse_tfidf,
                 corpus_snapshot=self.corpus_snapshot,
                 embed_backend=self.config.embed_backend,
                 embedding_snapshot=self.embedding_snapshot,
@@ -469,18 +404,15 @@ class HarmonyEngine:
         blocking_result: Optional[BlockingResult] = None
         if self.config.blocking is not None:
             blocker = CandidateBlocker(self.config.blocking)
-            if self.config.incremental_blocking:
-                if self.config.blocking.strategy == STRATEGY_ANN:
-                    if self._embedding_index is None:
-                        self._embedding_index = EmbeddingBlockingIndex()
-                    persistent = self._embedding_index
-                else:
-                    if self._blocking_index is None:
-                        self._blocking_index = BlockingIndex()
-                    persistent = self._blocking_index
-                blocking_result = blocker.candidates(context, persistent)
+            if self.config.blocking.strategy == STRATEGY_ANN:
+                if self._embedding_index is None:
+                    self._embedding_index = EmbeddingBlockingIndex()
+                persistent = self._embedding_index
             else:
-                blocking_result = blocker.candidates(context)
+                if self._blocking_index is None:
+                    self._blocking_index = BlockingIndex()
+                persistent = self._blocking_index
+            blocking_result = blocker.candidates(context, persistent)
             candidate_pairs = blocking_result.pairs
         else:
             candidate_pairs = context.candidate_pairs()
@@ -495,20 +427,13 @@ class HarmonyEngine:
 
         row_ids = set(matrix.row_ids)
         column_ids = set(matrix.column_ids)
-        if self.config.batched_matrix:
-            matrix.set_cells(
-                (source_id, target_id, confidence)
-                for (source_id, target_id), confidence in post_flooding.items()
-                if source_id in source and target_id in target
-                and source_id in row_ids and target_id in column_ids
-            )
-        else:
-            for (source_id, target_id), confidence in post_flooding.items():
-                if source_id not in source or target_id not in target:
-                    continue  # flooding can surface pairs outside the matrix axes
-                if source_id not in row_ids or target_id not in column_ids:
-                    continue
-                matrix.set_confidence(source_id, target_id, confidence)
+        # flooding can surface pairs outside the matrix axes
+        matrix.set_cells(
+            (source_id, target_id, confidence)
+            for (source_id, target_id), confidence in post_flooding.items()
+            if source_id in source and target_id in target
+            and source_id in row_ids and target_id in column_ids
+        )
 
         self._last_votes = votes
         self._last_context = context
@@ -544,9 +469,8 @@ class HarmonyEngine:
         New graph objects for the same two schema names (every
         blackboard read returns fresh ones) are diffed against the
         cached graphs.  No change: the context is rebound and keeps its
-        voter scores.  A change: with ``incremental_rematch`` every warm
-        cache is patched for it (:meth:`_patch_evolution`), otherwise
-        the run builds cold.  A cached graph mutated in place also
+        voter scores.  A change: every warm cache is patched for it
+        (:meth:`_patch_evolution`).  A cached graph mutated in place
         builds cold, since diffing it would miss the mutation.
         """
         context = self._last_context
@@ -565,8 +489,6 @@ class HarmonyEngine:
         if source_delta.is_empty and target_delta.is_empty:
             context.rebind(source, target)
             return context
-        if not self.config.incremental_rematch:
-            return None
         self._patch_evolution(context, source, target, source_delta, target_delta)
         return context
 
@@ -725,30 +647,19 @@ class HarmonyEngine:
         if mode == FLOODING_OFF or not scores:
             return dict(scores)
         if mode == FLOODING_DIRECTIONAL:
-            if self.config.compiled_flooding:
-                return directional_flooding_compiled(
-                    source, target, scores,
-                    config=self.config.directional, pinned=pinned,
-                    backend=self._resolve_backend(),
-                )
-            return directional_flooding(
-                source, target, scores, config=self.config.directional, pinned=pinned
+            return directional_flooding_compiled(
+                source, target, scores,
+                config=self.config.directional, pinned=pinned,
+                backend=self._resolve_backend(),
             )
         if mode == FLOODING_CLASSIC:
             positive = {pair: max(0.0, value) for pair, value in scores.items()}
-            restrict_to = set(positive) if self.config.sparse_flooding else None
-            if self.config.compiled_flooding:
-                if self._flooding_state is None:
-                    self._flooding_state = FloodingState()
-                flooded = self._flooding_state.flood(
-                    source, target, positive, config=self.config.classic,
-                    restrict_to=restrict_to, backend=self._resolve_backend(),
-                )
-            else:
-                flooded = classic_flooding(
-                    source, target, positive, config=self.config.classic,
-                    restrict_to=restrict_to,
-                )
+            if self._flooding_state is None:
+                self._flooding_state = FloodingState()
+            flooded = self._flooding_state.flood(
+                source, target, positive, config=self.config.classic,
+                backend=self._resolve_backend(),
+            )
             blend = self.config.classic_blend
             out: Dict[Pair, float] = {}
             for pair, original in scores.items():

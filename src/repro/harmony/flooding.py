@@ -8,45 +8,46 @@ negative confidence scores trickle down the schema graph.  Intuitively,
 two attributes are unlikely to match if their parent entities do not
 match."*
 
-Two algorithms live here, each in two executions:
+Both algorithms run compiled, over flat index arrays:
 
-* :func:`classic_flooding` — the original fixpoint computation over the
-  pairwise connectivity graph, on [0,1] similarities.  Used standalone by
-  the SF-only baseline and available to the engine (bench A2 compares it
-  against the directional variant).
-* :func:`directional_flooding` — Harmony's asymmetric propagation over
-  the containment hierarchy, on [-1,+1] confidences.
-* :class:`CompiledPCG` / :class:`FloodingState` — the compiled fast path
-  behind ``EngineConfig.compiled_flooding``: PCG pairs interned to
-  contiguous int ids, edges stored as parallel ``array('l')`` index
-  arrays with ``array('d')`` propagation coefficients, and the fixpoint
-  run as index-gather/scatter sweeps over preallocated score buffers.
-  The compiled classic sweep reproduces :func:`classic_flooding`
-  bit-for-bit (same accumulation order); :func:`FloodingState.ensure`
-  keys the compiled structure on a (graph names, revisions, active-set)
-  epoch and, after a schema evolution, patches only the PCG edges
-  incident to the evolved elements instead of recompiling.
+* :class:`CompiledPCG` / :class:`FloodingState` — classic flooding, the
+  original fixpoint over the pairwise connectivity graph on [0,1]
+  similarities.  Used by the engine's ``flooding="classic"`` mode (bench
+  A2 compares it against the directional variant) and by the SF-only
+  baseline.  PCG pairs are interned to contiguous int ids, edges stored
+  as parallel ``array('l')`` index arrays with ``array('d')``
+  propagation coefficients, and the fixpoint run as
+  index-gather/scatter sweeps over preallocated score buffers.
+  :meth:`FloodingState.ensure` keys the compiled structure on a (graph
+  names, revisions) epoch and, after a schema evolution, patches only
+  the PCG edges incident to the evolved elements instead of
+  recompiling.
+* :func:`directional_flooding_compiled` — Harmony's asymmetric up/down
+  propagation over the containment hierarchy, on [-1,+1] confidences,
+  over int-indexed parent/child arrays.
 * :class:`SweepBackend` and its three implementations — the sweep loops
   themselves are pluggable (``EngineConfig.sweep_backend``).
   :class:`PythonSweepBackend` is the pure-Python gather/scatter loop
-  (bit-identical to the reference, zero dependencies);
-  :class:`NumpySweepBackend` consumes the same ``array`` buffers
-  zero-copy via ``np.frombuffer`` and runs each sweep as one
-  ``np.bincount`` scatter plus vectorized normalization and residual.
-  ``bincount`` accumulates in edge order — the order the arrays were
-  flattened in — so the NumPy sweep reproduces the Python backend's
-  float arithmetic operation for operation (differentially tested to
-  1e-12; bit-identical in practice).  :class:`CSweepBackend` hands the
-  same buffers to the compiled cores in ``_csweep.c`` (the optional
-  setuptools extension, or a runtime cffi build of the same source) —
-  plain C replicas of the reference loops, statement for statement, so
-  they too are bit-identical.  :func:`resolve_sweep_backend` maps the
-  ``"auto" | "python" | "numpy" | "c"`` selector to a backend, probing
-  c → numpy → python on ``"auto"`` and degrading silently — the
-  accelerators stay optional extras, never hard dependencies.
-* :func:`directional_flooding_compiled` — the same up/down propagation
-  over int-indexed parent/child arrays, bit-identical to the reference,
-  routed through :meth:`SweepBackend.sweep_directional`.
+  (zero dependencies); :class:`NumpySweepBackend` consumes the same
+  ``array`` buffers zero-copy via ``np.frombuffer`` and runs each sweep
+  as one ``np.bincount`` scatter plus vectorized normalization and
+  residual.  ``bincount`` accumulates in edge order — the order the
+  arrays were flattened in — so the NumPy sweep reproduces the Python
+  backend's float arithmetic operation for operation (differentially
+  tested to 1e-12; bit-identical in practice).  :class:`CSweepBackend`
+  hands the same buffers to the compiled cores in ``_csweep.c`` (the
+  optional setuptools extension, or a runtime cffi build of the same
+  source) — plain C replicas of the Python loops, statement for
+  statement, so they too are bit-identical.
+  :func:`resolve_sweep_backend` maps the ``"auto" | "python" | "numpy" |
+  "c"`` selector to a backend, probing c → numpy → python on ``"auto"``
+  and degrading silently — the accelerators stay optional extras, never
+  hard dependencies.
+
+The dict-keyed fixpoints both compiled forms replaced are kept as test
+oracles (``tests/oracles/flooding.py``): on the Python backend the
+compiled sweeps reproduce them bit for bit, since they accumulate in the
+same order.
 """
 
 from __future__ import annotations
@@ -56,8 +57,7 @@ from dataclasses import dataclass
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Set, Tuple
 
 from ..core.correspondence import clamp_confidence
-from ..core.elements import ElementKind
-from ..core.graph import CONTAINMENT_LABELS, SchemaGraph
+from ..core.graph import SchemaGraph
 
 Pair = Tuple[str, str]
 
@@ -72,70 +72,6 @@ class FloodingConfig:
     epsilon: float = 1e-4
 
 
-def _sparse_frontier(
-    src_by_label: Mapping[str, List[Tuple[str, str]]],
-    tgt_by_label: Mapping[str, List[Tuple[str, str]]],
-    active: Set[Pair],
-) -> Set[Pair]:
-    """The active pairs plus their one-hop PCG neighborhood."""
-    src_out: Dict[str, Dict[str, List[str]]] = {}
-    src_in: Dict[str, Dict[str, List[str]]] = {}
-    tgt_out: Dict[str, Dict[str, List[str]]] = {}
-    tgt_in: Dict[str, Dict[str, List[str]]] = {}
-    for label, edges in src_by_label.items():
-        for subject, obj in edges:
-            src_out.setdefault(label, {}).setdefault(subject, []).append(obj)
-            src_in.setdefault(label, {}).setdefault(obj, []).append(subject)
-    for label, edges in tgt_by_label.items():
-        for subject, obj in edges:
-            tgt_out.setdefault(label, {}).setdefault(subject, []).append(obj)
-            tgt_in.setdefault(label, {}).setdefault(obj, []).append(subject)
-
-    allowed = set(active)
-    for a, b in active:
-        for label in src_out:
-            for a2 in src_out[label].get(a, ()):
-                for b2 in tgt_out.get(label, {}).get(b, ()):
-                    allowed.add((a2, b2))
-        for label in src_in:
-            for a2 in src_in[label].get(a, ()):
-                for b2 in tgt_in.get(label, {}).get(b, ()):
-                    allowed.add((a2, b2))
-    return allowed
-
-
-def _pcg_edges(
-    source: SchemaGraph,
-    target: SchemaGraph,
-    restrict_to: Optional[Set[Pair]] = None,
-) -> Dict[Pair, List[Pair]]:
-    """The pairwise connectivity graph.
-
-    PCG node (a, b) has an l-labeled edge to (a', b') whenever
-    ``a --l--> a'`` in the source and ``b --l--> b'`` in the target.
-    Returns, for every PCG node, its *neighbors with propagation
-    coefficients folded in* — i.e. each out-edge already carries weight
-    1/fanout(label) per Melnik's inverse-average scheme, and edges are
-    symmetrized (flooding runs on the induced undirected graph).
-
-    Edges are bucketed by label so the construction is
-    Σ_l |E_s(l)|·|E_t(l)| rather than |E_s|·|E_t|.  When *restrict_to*
-    is given, the PCG is additionally restricted to those pairs plus
-    their one-hop neighborhood — the sparse-flooding mode: scores only
-    ever flow between a scored pair and its structural neighbors, so the
-    vast dark region of the full cross-product is never materialized.
-    """
-    src_by_label = _edges_by_label(source)
-    tgt_by_label = _edges_by_label(target)
-
-    allowed: Optional[Set[Pair]] = None
-    if restrict_to is not None:
-        allowed = _sparse_frontier(src_by_label, tgt_by_label, set(restrict_to))
-
-    out_by_label = _build_out_by_label(src_by_label, tgt_by_label, allowed)
-    return _weighted_adjacency(out_by_label)
-
-
 def _edges_by_label(graph: SchemaGraph) -> Dict[str, List[Tuple[str, str]]]:
     """(subject, object) tuples bucketed by edge label, in the graph's
     deterministic sorted-edge order."""
@@ -148,7 +84,6 @@ def _edges_by_label(graph: SchemaGraph) -> Dict[str, List[Tuple[str, str]]]:
 def _build_out_by_label(
     src_by_label: Mapping[str, List[Tuple[str, str]]],
     tgt_by_label: Mapping[str, List[Tuple[str, str]]],
-    allowed: Optional[Set[Pair]],
 ) -> Dict[Pair, Dict[str, List[Pair]]]:
     """Raw label-bucketed PCG out-edges (before weighting)."""
     out_by_label: Dict[Pair, Dict[str, List[Pair]]] = {}
@@ -160,10 +95,6 @@ def _build_out_by_label(
             for t_subject, t_object in t_edges:
                 node = (s_subject, t_subject)
                 successor = (s_object, t_object)
-                if allowed is not None and (
-                    node not in allowed or successor not in allowed
-                ):
-                    continue
                 out_by_label.setdefault(node, {}).setdefault(label, []).append(successor)
     return out_by_label
 
@@ -203,55 +134,6 @@ def _weighted_adjacency(
     return adjacency
 
 
-def classic_flooding(
-    source: SchemaGraph,
-    target: SchemaGraph,
-    initial: Mapping[Pair, float],
-    config: Optional[FloodingConfig] = None,
-    restrict_to: Optional[Set[Pair]] = None,
-) -> Dict[Pair, float]:
-    """Melnik's basic fixpoint: σ⁺ = normalize(σ⁰ + σ + φ(σ)).
-
-    *initial* maps (source element id, target element id) → similarity in
-    [0, 1].  The result is normalized so the best pair scores 1.0.
-
-    When *restrict_to* is given (usually the scored candidate pairs),
-    the propagation graph is built sparsely over those pairs and their
-    one-hop neighborhood instead of the full edge cross-product — an
-    approximation (fanout weights are computed within the restricted
-    graph) that the engine keeps behind its ``sparse_flooding`` flag.
-    """
-    config = config or FloodingConfig()
-    adjacency = _pcg_edges(source, target, restrict_to=restrict_to)
-    nodes = set(initial) | set(adjacency)
-    for neighbors in adjacency.values():
-        nodes.update(n for n, _ in neighbors)
-
-    sigma0 = {node: max(0.0, float(initial.get(node, 0.0))) for node in nodes}
-    sigma = dict(sigma0)
-    for _ in range(config.max_iterations):
-        incoming: Dict[Pair, float] = {node: 0.0 for node in nodes}
-        for node, neighbors in adjacency.items():
-            value = sigma[node]
-            if value == 0.0:
-                continue
-            for neighbor, weight in neighbors:
-                incoming[neighbor] += value * weight
-        updated = {
-            node: sigma0[node] + sigma[node] + incoming[node] for node in nodes
-        }
-        peak = max(updated.values(), default=0.0)
-        if peak > 0.0:
-            updated = {node: value / peak for node, value in updated.items()}
-        residual = max(
-            (abs(updated[node] - sigma[node]) for node in nodes), default=0.0
-        )
-        sigma = updated
-        if residual < config.epsilon:
-            break
-    return sigma
-
-
 # -- compiled fixpoint (flat edge arrays) --------------------------------------
 
 
@@ -260,10 +142,10 @@ class CompiledPCG:
 
     PCG pairs are interned to contiguous int ids; edges live in parallel
     ``array('l')`` src/dst index arrays with an ``array('d')`` coefficient
-    array, flattened from the reference adjacency *in its exact iteration
-    order* — so the compiled sweep accumulates floating-point
-    contributions in the same order as :func:`classic_flooding` and the
-    cold fixpoint is bit-identical to the reference.
+    array, flattened from the weighted adjacency (Melnik's
+    inverse-average coefficients, symmetrized) *in its iteration order*
+    — the order the dict-keyed oracle fixpoint accumulates in, so a
+    cold compiled fixpoint reproduces it bit for bit.
 
     The label-bucketed ``out_by_label`` intermediate is retained so
     :func:`patch_pcg` can splice edges incident to evolved elements in
@@ -274,16 +156,11 @@ class CompiledPCG:
 
     __slots__ = (
         "nodes", "node_index", "edge_src", "edge_dst", "edge_weight",
-        "out_by_label", "allowed", "_edge_iter", "_buffers", "_np_edges",
+        "out_by_label", "_edge_iter", "_buffers", "_np_edges",
     )
 
-    def __init__(
-        self,
-        out_by_label: Dict[Pair, Dict[str, List[Pair]]],
-        allowed: Optional[Set[Pair]],
-    ) -> None:
+    def __init__(self, out_by_label: Dict[Pair, Dict[str, List[Pair]]]) -> None:
         self.out_by_label = out_by_label
-        self.allowed = allowed
         self.nodes: List[Pair] = []
         self.node_index: Dict[Pair, int] = {}
         self.edge_src = array("l")
@@ -350,11 +227,10 @@ class CompiledPCG:
     ) -> Dict[Pair, float]:
         """The classic fixpoint as index-gather/scatter sweeps.
 
-        Same σ⁺ = normalize(σ⁰ + σ + φ(σ)) recurrence, same accumulation
-        order, same normalization and residual arithmetic as
-        :func:`classic_flooding` — bit-identical by construction on the
-        default Python backend.  *backend* selects which
-        :class:`SweepBackend` iterates the fixpoint over the edge arrays.
+        σ⁺ = normalize(σ⁰ + σ + φ(σ)), iterated until the largest
+        change drops below ``config.epsilon`` or ``max_iterations``
+        runs out.  *backend* selects which :class:`SweepBackend`
+        iterates the fixpoint over the edge arrays (default: Python).
         """
         config = config or FloodingConfig()
         index = self.node_index
@@ -508,11 +384,11 @@ class SweepBackend:
 
 
 class PythonSweepBackend(SweepBackend):
-    """The pure-Python gather/scatter loop (reference-bit-identical).
+    """The pure-Python gather/scatter loop.
 
     Reuses ``CompiledPCG``'s preallocated score buffers across runs and
-    accumulates in flattened edge order, so it is bit-identical to
-    :func:`classic_flooding` on a cold compile.
+    accumulates in flattened edge order, so on a cold compile it is
+    bit-identical to the dict-keyed oracle fixpoint.
     """
 
     name = "python"
@@ -877,31 +753,23 @@ def resolve_sweep_backend(selector: str = "python") -> SweepBackend:
     )
 
 
-def compile_pcg(
-    source: SchemaGraph,
-    target: SchemaGraph,
-    restrict_to: Optional[Set[Pair]] = None,
-) -> CompiledPCG:
+def compile_pcg(source: SchemaGraph, target: SchemaGraph) -> CompiledPCG:
     """Build a :class:`CompiledPCG` for the pair of schemas.
 
-    Construction goes through the same label-bucketed helpers as the
-    reference :func:`_pcg_edges`, so the flattened edge order mirrors the
-    reference adjacency's iteration order exactly.
+    PCG node (a, b) has an l-labeled edge to (a', b') whenever
+    ``a --l--> a'`` in the source and ``b --l--> b'`` in the target.
+    Edges are bucketed by label, so construction costs
+    Σ_l |E_s(l)|·|E_t(l)| rather than |E_s|·|E_t|.
     """
-    src_by_label = _edges_by_label(source)
-    tgt_by_label = _edges_by_label(target)
-    allowed: Optional[Set[Pair]] = None
-    if restrict_to is not None:
-        allowed = _sparse_frontier(src_by_label, tgt_by_label, set(restrict_to))
-    out_by_label = _build_out_by_label(src_by_label, tgt_by_label, allowed)
-    return CompiledPCG(out_by_label, allowed)
+    out_by_label = _build_out_by_label(
+        _edges_by_label(source), _edges_by_label(target))
+    return CompiledPCG(out_by_label)
 
 
 def patch_pcg(
     compiled: CompiledPCG,
     source: SchemaGraph,
     target: SchemaGraph,
-    restrict_to: Optional[Set[Pair]],
     dirty_source: Set[str],
     dirty_target: Set[str],
 ) -> CompiledPCG:
@@ -910,26 +778,19 @@ def patch_pcg(
     *dirty_source* / *dirty_target* are the element ids whose incident
     edge sets may have changed (endpoints of added/removed edges plus
     added/removed elements).  A PCG pair is *dirty* when either component
-    is a dirty element or its sparse-frontier membership flipped; all
-    edges touching dirty pairs are dropped, then rebuilt from the new
-    schemas — cost Σ_l |ΔE_s(l)|·|E_t(l)| + |E_t-side Δ| instead of the
-    full cross-product.  Coefficients are re-derived at flatten time, so
-    the patched structure equals a fresh compile up to edge-array order
-    (asserted structurally by the differential suite; score drift is
-    bounded by float reassociation, ≤1e-12 in the harness).
+    is a dirty element; all edges touching dirty pairs are dropped, then
+    rebuilt from the new schemas — cost Σ_l |ΔE_s(l)|·|E_t(l)| +
+    |E_t-side Δ| instead of the full cross-product.  Coefficients are
+    re-derived at flatten time, so the patched structure equals a fresh
+    compile up to edge-array order (asserted structurally by the
+    differential suite; score drift is bounded by float reassociation,
+    ≤1e-12 in the harness).
     """
     src_by_label = _edges_by_label(source)
     tgt_by_label = _edges_by_label(target)
-    new_allowed: Optional[Set[Pair]] = None
-    if restrict_to is not None:
-        new_allowed = _sparse_frontier(src_by_label, tgt_by_label, set(restrict_to))
-    old_allowed = compiled.allowed
-    delta: Set[Pair] = set()
-    if new_allowed is not None and old_allowed is not None:
-        delta = old_allowed ^ new_allowed
 
     def pair_dirty(pair: Pair) -> bool:
-        return pair[0] in dirty_source or pair[1] in dirty_target or pair in delta
+        return pair[0] in dirty_source or pair[1] in dirty_target
 
     out_by_label = compiled.out_by_label
     # drop everything touching a dirty pair
@@ -952,18 +813,14 @@ def patch_pcg(
     added_guard: Set[Tuple[Pair, str, Pair]] = set()
 
     def add(node: Pair, label: str, successor: Pair) -> None:
-        if new_allowed is not None and (
-            node not in new_allowed or successor not in new_allowed
-        ):
-            return
         key = (node, label, successor)
         if key in added_guard:
             return
         added_guard.add(key)
         out_by_label.setdefault(node, {}).setdefault(label, []).append(successor)
 
-    # 1) combos built from an edge incident to a dirty element — every such
-    #    combo has a dirty pair endpoint, so it was dropped above
+    # combos built from an edge incident to a dirty element — every such
+    # combo has a dirty pair endpoint, so it was dropped above
     for label, s_edges in src_by_label.items():
         t_edges = tgt_by_label.get(label)
         if not t_edges:
@@ -982,36 +839,6 @@ def patch_pcg(
                 for t_subject, t_object in t_dirty:
                     add((s_subject, t_subject), label, (s_object, t_object))
 
-    # 2) pairs whose sparse-frontier membership flipped without any dirty
-    #    element: give newly-allowed pairs their out- and in-edges
-    if delta:
-        src_out: Dict[str, Dict[str, List[str]]] = {}
-        src_in: Dict[str, Dict[str, List[str]]] = {}
-        tgt_out: Dict[str, Dict[str, List[str]]] = {}
-        tgt_in: Dict[str, Dict[str, List[str]]] = {}
-        for label, edges in src_by_label.items():
-            for subject, obj in edges:
-                src_out.setdefault(label, {}).setdefault(subject, []).append(obj)
-                src_in.setdefault(label, {}).setdefault(obj, []).append(subject)
-        for label, edges in tgt_by_label.items():
-            for subject, obj in edges:
-                tgt_out.setdefault(label, {}).setdefault(subject, []).append(obj)
-                tgt_in.setdefault(label, {}).setdefault(obj, []).append(subject)
-        assert new_allowed is not None
-        for pair in delta:
-            if pair not in new_allowed:
-                continue  # left the frontier: removal already handled it
-            a, b = pair
-            for label in src_out:
-                for a2 in src_out[label].get(a, ()):
-                    for b2 in tgt_out.get(label, {}).get(b, ()):
-                        add(pair, label, (a2, b2))
-            for label in src_in:
-                for a0 in src_in[label].get(a, ()):
-                    for b0 in tgt_in.get(label, {}).get(b, ()):
-                        add((a0, b0), label, pair)
-
-    compiled.allowed = new_allowed
     compiled._flatten()
     return compiled
 
@@ -1020,12 +847,12 @@ class FloodingState:
     """Epoch-keyed cache of the compiled PCG across engine runs.
 
     The epoch is (source name, target name, source revision, target
-    revision, active-set); a matching epoch with nothing noted dirty
-    reuses the compiled arrays and buffers outright.  After a schema
-    evolution the engine calls :meth:`note_evolution` with the
-    structurally-dirty element ids, and the next :meth:`ensure` patches
-    the compiled PCG via :func:`patch_pcg` instead of recompiling.  Any
-    other epoch change falls back to a full compile.
+    revision); a matching epoch with nothing noted dirty reuses the
+    compiled arrays and buffers outright.  After a schema evolution the
+    engine calls :meth:`note_evolution` with the structurally-dirty
+    element ids, and the next :meth:`ensure` patches the compiled PCG
+    via :func:`patch_pcg` instead of recompiling.  Any other epoch
+    change falls back to a full compile.
 
     Warm starts reuse *structure only*: the fixpoint always iterates
     from σ⁰, so a warm run can never converge to different scores than a
@@ -1054,14 +881,8 @@ class FloodingState:
         self._pending[0].update(dirty_source)
         self._pending[1].update(dirty_target)
 
-    def ensure(
-        self,
-        source: SchemaGraph,
-        target: SchemaGraph,
-        restrict_to: Optional[Set[Pair]] = None,
-    ) -> CompiledPCG:
-        active = None if restrict_to is None else frozenset(restrict_to)
-        key = (source.name, target.name, source.revision, target.revision, active)
+    def ensure(self, source: SchemaGraph, target: SchemaGraph) -> CompiledPCG:
+        key = (source.name, target.name, source.revision, target.revision)
         dirty = self._pending is not None and bool(
             self._pending[0] or self._pending[1])
         if self.compiled is not None and key == self._key and not dirty:
@@ -1073,16 +894,14 @@ class FloodingState:
             self.compiled is not None
             and self._pending is not None
             and old_key is not None
-            and old_key[0] == key[0]
-            and old_key[1] == key[1]
-            and (old_key[4] is None) == (active is None)
+            and old_key[:2] == key[:2]
         ):
             self.compiled = patch_pcg(
-                self.compiled, source, target, restrict_to, *self._pending
+                self.compiled, source, target, *self._pending
             )
             self.patches += 1
         else:
-            self.compiled = compile_pcg(source, target, restrict_to)
+            self.compiled = compile_pcg(source, target)
             self.compiles += 1
         self._key = key
         self._pending = None
@@ -1094,14 +913,17 @@ class FloodingState:
         target: SchemaGraph,
         initial: Mapping[Pair, float],
         config: Optional[FloodingConfig] = None,
-        restrict_to: Optional[Set[Pair]] = None,
         backend: Optional[SweepBackend] = None,
     ) -> Dict[Pair, float]:
-        """Drop-in replacement for :func:`classic_flooding` with the
-        compiled structure cached across calls."""
-        return self.ensure(source, target, restrict_to).run(
-            initial, config, backend=backend
-        )
+        """Melnik's classic fixpoint σ⁺ = normalize(σ⁰ + σ + φ(σ)) over
+        the PCG of *source* × *target*, with the compiled structure
+        cached across calls.
+
+        *initial* maps (source element id, target element id) →
+        similarity in [0, 1]; the result is normalized so the best pair
+        scores 1.0.
+        """
+        return self.ensure(source, target).run(initial, config, backend=backend)
 
 
 # -- Harmony's directional variant ------------------------------------------------
@@ -1122,67 +944,6 @@ def _containment_parent(graph: SchemaGraph, element_id: str) -> Optional[str]:
     return parent.element_id if parent is not None else None
 
 
-def directional_flooding(
-    source: SchemaGraph,
-    target: SchemaGraph,
-    scores: Mapping[Pair, float],
-    config: Optional[DirectionalConfig] = None,
-    pinned: Optional[set] = None,
-) -> Dict[Pair, float]:
-    """Harmony's structural adjustment on [-1, +1] confidences.
-
-    Up: a parent pair absorbs the average of its children pairs' *positive*
-    scores.  Down: a child pair absorbs its parent pair's *negative* score.
-    Pairs in *pinned* (user-decided links, Section 4.3) are never modified.
-
-    This variant is inherently sparse: the parent/child pair maps are
-    derived from the scored pairs alone, so its cost is O(|scores|)
-    regardless of schema size — candidate blocking shrinks it for free.
-    """
-    config = config or DirectionalConfig()
-    pinned = pinned or set()
-    adjusted: Dict[Pair, float] = {
-        pair: clamp_confidence(value) for pair, value in scores.items()
-    }
-
-    # child-pair lists per parent pair, derived from containment
-    children_of: Dict[Pair, List[Pair]] = {}
-    parent_of: Dict[Pair, Pair] = {}
-    for (s_id, t_id) in adjusted:
-        parent_s = _containment_parent(source, s_id) if s_id in source else None
-        parent_t = _containment_parent(target, t_id) if t_id in target else None
-        if parent_s is None or parent_t is None:
-            continue
-        parent_pair = (parent_s, parent_t)
-        if parent_pair in adjusted:
-            children_of.setdefault(parent_pair, []).append((s_id, t_id))
-            parent_of[(s_id, t_id)] = parent_pair
-
-    for _ in range(config.iterations):
-        updated = dict(adjusted)
-        # positive evidence propagates up
-        for parent_pair, child_pairs in children_of.items():
-            if parent_pair in pinned:
-                continue
-            positives = [adjusted[c] for c in child_pairs if adjusted[c] > 0.0]
-            if positives:
-                boost = config.up_rate * (sum(positives) / len(positives))
-                updated[parent_pair] = clamp_confidence(
-                    min(0.99, adjusted[parent_pair] + boost)
-                )
-        # negative evidence trickles down
-        for child_pair, parent_pair in parent_of.items():
-            if child_pair in pinned:
-                continue
-            parent_score = adjusted[parent_pair]
-            if parent_score < 0.0:
-                updated[child_pair] = clamp_confidence(
-                    max(-0.99, updated[child_pair] + config.down_rate * parent_score)
-                )
-        adjusted = updated
-    return adjusted
-
-
 def directional_flooding_compiled(
     source: SchemaGraph,
     target: SchemaGraph,
@@ -1191,16 +952,23 @@ def directional_flooding_compiled(
     pinned: Optional[set] = None,
     backend: Optional[SweepBackend] = None,
 ) -> Dict[Pair, float]:
-    """Bit-identical compiled mirror of :func:`directional_flooding`.
+    """Harmony's structural adjustment on [-1, +1] confidences.
+
+    Up: a parent pair absorbs the average of its children pairs'
+    *positive* scores.  Down: a child pair absorbs its parent pair's
+    *negative* score.  Pairs in *pinned* (user-decided links, Section
+    4.3) are never modified.  The parent/child pair maps are derived from
+    the scored pairs alone, so the cost is O(|scores|) regardless of
+    schema size — candidate blocking shrinks it for free.
 
     Scored pairs are interned to int ids in score order; the parent/child
     structure compiles to flat index arrays — parent ids plus a CSR-style
-    indptr/children pair (children kept in the reference's list order, so
-    positive-child sums accumulate identically), the (child, parent)
+    indptr/children pair (children in score order, so positive-child
+    sums accumulate as the dict-keyed oracle's do), the (child, parent)
     down-sweep arrays, and a pinned byte mask — then *backend* (default:
-    the pure-python reference loop) iterates the propagation via
+    the pure-python loop) iterates the propagation via
     :meth:`SweepBackend.sweep_directional`.  Every backend's arithmetic
-    mirrors the reference statement for statement, so scores are
+    mirrors the oracle statement for statement, so scores are
     bit-identical.
     """
     config = config or DirectionalConfig()

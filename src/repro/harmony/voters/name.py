@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from ...core.elements import SchemaElement
+from ...text import kernels
 from .base import MatchContext, MatchVoter, calibrate
 
 
@@ -25,7 +26,7 @@ class NameVoter(MatchVoter):
             return 1.0
         tokens_a = context.name_tokens(context.graph_of(source), source)
         tokens_b = context.name_tokens(context.graph_of(target), target)
-        similarity = context.sim.blended_name_similarity(a, b, tokens_a, tokens_b)
+        similarity = kernels.blended_name_similarity(a, b, tokens_a, tokens_b)
         if tokens_a and tokens_a == tokens_b:
             return 1.0
         return calibrate(similarity, zero_point=0.45, full_point=0.92, negative_floor=-0.6)

@@ -15,6 +15,7 @@ through the graph) with direct structural measures:
 from __future__ import annotations
 
 from ...core.elements import SchemaElement
+from ...text import kernels
 from .base import MatchContext, MatchVoter, calibrate
 
 
@@ -24,14 +25,14 @@ class StructureVoter(MatchVoter):
     def score(self, source: SchemaElement, target: SchemaElement, context: MatchContext) -> float:
         graph_s = context.graph_of(source)
         graph_t = context.graph_of(target)
-        path_sim = context.sim.monge_elkan(
+        path_sim = kernels.monge_elkan(
             context.path_tokens(graph_s, source), context.path_tokens(graph_t, target)
         )
         if source.is_container and target.is_container:
             leaves_s = context.leaf_tokens(graph_s, source)
             leaves_t = context.leaf_tokens(graph_t, target)
             if leaves_s and leaves_t:
-                leaf_sim = context.sim.jaccard_similarity(leaves_s, leaves_t)
+                leaf_sim = kernels.jaccard_similarity(leaves_s, leaves_t)
                 similarity = 0.5 * path_sim + 0.5 * leaf_sim
             else:
                 similarity = path_sim

@@ -37,6 +37,7 @@ and replicas are differentially tested against their primary
 
 from __future__ import annotations
 
+import gc
 import os
 import zlib
 from dataclasses import dataclass
@@ -579,12 +580,22 @@ class DurableStore:
             if fs.exists(stale):
                 fs.remove(stale)
         if fs.exists(self.snapshot_path):
-            revision, seq, triples = decode_snapshot(
-                self._read_file(self.snapshot_path))
+            # decoding and indexing a snapshot allocates several objects
+            # per triple, none of them in a reference cycle: pause the
+            # cyclic collector, which would otherwise rescan the growing
+            # heap many times over during the load
+            collecting = gc.isenabled()
+            gc.disable()
             try:
-                self.store.bulk_load(triples)
-            except StoreError as exc:  # duplicate triples in the file
-                raise DurabilityError(f"bad snapshot: {exc}") from exc
+                revision, seq, triples = decode_snapshot(
+                    self._read_file(self.snapshot_path))
+                try:
+                    self.store.bulk_load(triples)
+                except StoreError as exc:  # duplicate triples in the file
+                    raise DurabilityError(f"bad snapshot: {exc}") from exc
+            finally:
+                if collecting:
+                    gc.enable()
             # the snapshot records the primary's revision, which counts
             # every mutation ever applied — not just surviving triples
             self.store._revision = revision

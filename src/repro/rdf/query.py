@@ -6,23 +6,20 @@ a query is a list of triple patterns whose positions are terms or
 :class:`Variable` placeholders, optionally post-filtered by Python
 predicates, with ordering/limit/projection.
 
-Two evaluators share the solution semantics:
+:func:`evaluate` runs the cost-based planner: join order is chosen by
+*actual* cardinality estimates from the store's O(1) index statistics
+(:meth:`TripleStore.count_matching`), each distinct resolved pattern
+hits the store once (a pattern-result memo keyed on the store's
+mutation ``revision``), and patterns whose only unbound variable
+coincides are bind-joined by set intersection on the permutation
+indexes.  :func:`explain` reports the chosen order with estimated vs.
+actual cardinalities and memo hit counts.
 
-* :func:`evaluate_reference` — the clarity-first oracle: patterns are
-  solved left-to-right with a greedy reordering heuristic (most-bound
-  pattern first), one store probe per pattern per binding.
-* :func:`evaluate` (the default) — the cost-based planner: join order
-  is chosen by *actual* cardinality estimates from the store's O(1)
-  index statistics (:meth:`TripleStore.count_matching`), each distinct
-  resolved pattern hits the store once (a pattern-result memo keyed on
-  the store's mutation ``revision``), and patterns whose only unbound
-  variable coincides are bind-joined by set intersection on the
-  permutation indexes.  :func:`explain` reports the chosen order with
-  estimated vs. actual cardinalities and memo hit counts.
-
-The planner is differentially tested against the reference on random
-stores and queries (tests/rdf/test_query_planner.py): both return the
-same solution multiset, always.
+The planner is differentially tested against a clarity-first oracle
+(greedy most-bound-first join order, one store probe per pattern per
+binding; ``tests/oracles/query.py``) on random stores and queries
+(tests/rdf/test_query_planner.py): both return the same solution
+multiset, always.
 """
 
 from __future__ import annotations
@@ -33,7 +30,6 @@ from typing import (
     Any,
     Callable,
     Dict,
-    Iterator,
     List,
     Optional,
     Sequence,
@@ -43,7 +39,7 @@ from typing import (
 
 from ..core.errors import QueryError
 from .store import TripleStore
-from .term import IRI, Literal, Object, Subject, Term, term_sort_key
+from .term import IRI, Literal, Term, term_sort_key
 from .triple import Triple
 
 
@@ -76,14 +72,6 @@ class TriplePattern:
     def variables(self) -> List[Variable]:
         return [p for p in (self.subject, self.predicate, self.object)
                 if isinstance(p, Variable)]
-
-    def bound_count(self, binding: Binding) -> int:
-        """How many positions are concrete under *binding*."""
-        count = 0
-        for part in (self.subject, self.predicate, self.object):
-            if not isinstance(part, Variable) or part in binding:
-                count += 1
-        return count
 
     def resolve(self, binding: Binding) -> Tuple[Optional[Term], ...]:
         """The pattern as a store-level match pattern (None = wildcard)."""
@@ -150,21 +138,8 @@ def _extend(
     return extended
 
 
-def _match_pattern(
-    store: TripleStore, pattern: TriplePattern, binding: Binding
-) -> Iterator[Binding]:
-    subject, predicate, obj = pattern.resolve(binding)
-    if _invalid_resolution(subject, predicate):
-        return
-    for triple in store.match(subject, predicate, obj):
-        extended = _extend(pattern, triple, binding)
-        if extended is not None:
-            yield extended
-
-
 def _finalize(query: Query, solutions: List[Binding]) -> List[Binding]:
-    """Apply filters / projection / distinct / order / limit — shared by
-    the reference and the planned evaluator."""
+    """Apply filters / projection / distinct / order / limit."""
     for flt in query.filters:
         solutions = [b for b in solutions if flt(b)]
     if query.select is not None:
@@ -197,27 +172,6 @@ def _finalize(query: Query, solutions: List[Binding]) -> List[Binding]:
     if query.limit is not None:
         solutions = solutions[: query.limit]
     return solutions
-
-
-def evaluate_reference(store: TripleStore, query: Query) -> List[Binding]:
-    """The oracle evaluator: greedy most-bound-first join order, one
-    store probe per pattern per binding.  The planner is differentially
-    tested against this."""
-    solutions: List[Binding] = [{}]
-    remaining = list(query.patterns)
-    while remaining:
-        # Greedy join order: prefer the pattern with most bound positions
-        # under the first current binding (all bindings share variables).
-        probe = solutions[0] if solutions else {}
-        remaining.sort(key=lambda p: -p.bound_count(probe))
-        pattern = remaining.pop(0)
-        next_solutions: List[Binding] = []
-        for binding in solutions:
-            next_solutions.extend(_match_pattern(store, pattern, binding))
-        solutions = next_solutions
-        if not solutions:
-            break
-    return _finalize(query, solutions)
 
 
 # -- cost-based planner -----------------------------------------------------
@@ -339,8 +293,8 @@ def evaluate_planned(
     """Evaluate with cost-based join ordering, pattern-result memoization
     and set-intersection bind-joins.
 
-    Returns the same solution multiset as :func:`evaluate_reference`
-    (solution *order* may differ; use ``order_by`` for a total order).
+    Returns the same solution multiset as the oracle evaluator (solution
+    *order* may differ; use ``order_by`` for a total order).
     Pass a :class:`QueryPlan` to collect the executed plan — that is all
     :func:`explain` does.
     """
@@ -413,18 +367,10 @@ def evaluate_planned(
     return _finalize(query, solutions)
 
 
-def evaluate(
-    store: TripleStore, query: Query, use_planner: bool = True
-) -> List[Binding]:
-    """Evaluate a query, returning the list of solution bindings.
-
-    The cost-based planner is the default; pass ``use_planner=False``
-    for the reference left-to-right evaluator (same solution multiset —
-    differentially tested — but no statistics, memo or bind-joins).
-    """
-    if use_planner:
-        return evaluate_planned(store, query)
-    return evaluate_reference(store, query)
+def evaluate(store: TripleStore, query: Query) -> List[Binding]:
+    """Evaluate a query with the cost-based planner, returning the list
+    of solution bindings."""
+    return evaluate_planned(store, query)
 
 
 def explain(store: TripleStore, query: Query) -> QueryPlan:

@@ -1136,7 +1136,7 @@ def serialize_matrix(
     delta: bool = False,
     previous: Optional[MatrixView] = None,
 ) -> IRI:
-    """Matrix serialization (the ``EngineConfig.delta_matrix_rdf`` path).
+    """Matrix serialization (bulk, or the delta write matcher rounds use).
 
     Both modes are idempotent and produce the same stored matrix state
     as :func:`matrix_to_rdf`:

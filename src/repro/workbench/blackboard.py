@@ -196,8 +196,8 @@ class IntegrationBlackboard:
     def put_matrix(self, matrix: MappingMatrix, delta: bool = False) -> IRI:
         """Write (or replace) a whole mapping matrix.
 
-        With ``delta=True`` (the ``EngineConfig.delta_matrix_rdf`` path)
-        the write diffs the matrix against the stored version's view
+        With ``delta=True`` (how the matcher tool, evolutions and serving
+        write) the write diffs the matrix against the stored version's view
         (:func:`~repro.rdf.schema_rdf.serialize_matrix` with
         ``previous=``) and touches only the triples of changed parts,
         so a refinement round's write costs O(changed cells); without a

@@ -62,16 +62,16 @@ class MappingMatrixEvent(Event):
     """*"The code generation tool ... generates a mapping-matrix event when
     the user manually modifies the final mapping."*
 
-    Also published by the matcher tool as one *coalesced* notification
-    for a whole batched matrix write (``EngineConfig.batched_matrix``):
-    ``cells_updated`` then carries how many cells changed, replacing the
-    per-cell :class:`MappingCellEvent` stream.
+    Also published by the serving layer once per match or evolve job
+    that rewrote a matrix, with ``cells_updated`` carrying the matrix's
+    cell count.  The matcher tool does not coalesce: it announces each
+    changed cell with a :class:`MappingCellEvent`.
     """
 
     matrix_name: str = ""
     code: str = ""
-    #: number of cells changed by a batched matrix write (0 for the
-    #: classic manual-modification event)
+    #: cells the write covered (0 for the classic manual-modification
+    #: event)
     cells_updated: int = 0
 
 

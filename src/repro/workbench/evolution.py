@@ -140,9 +140,8 @@ def evolve_and_rematch(
     Stores the new schema version, diffs, updates the matrix on the
     blackboard, and re-invokes the matcher tool so the added/reset cells
     get fresh scores — all inside one transaction, per the §5.3 protocol.
-    The schema and matrix writes follow the matcher engine's
-    ``delta_schema_rdf`` / ``delta_matrix_rdf``, so an evolve step writes
-    only the triples it changes.
+    The schema and matrix writes are delta writes, so an evolve step
+    writes only the triples it changes.
     """
     from .versioning import diff_schemas
 
@@ -150,17 +149,9 @@ def evolve_and_rematch(
     blackboard = manager.blackboard
     matrix = blackboard.get_matrix(matrix_name)
     report = apply_evolution(matrix, diff, side=side, schema_name=new_graph.name)
-    try:
-        tool = manager.tool(matcher_tool)
-    except Exception:
-        tool = None
-    config = getattr(getattr(tool, "engine", None), "config", None)
     with manager.transaction():
-        blackboard.put_schema(
-            new_graph, delta=bool(getattr(config, "delta_schema_rdf", False)),
-            previous=old_graph)
-        blackboard.put_matrix(
-            matrix, delta=bool(getattr(config, "delta_matrix_rdf", False)))
+        blackboard.put_schema(new_graph, delta=True, previous=old_graph)
+        blackboard.put_matrix(matrix, delta=True)
     if report.needs_rematch:
         source_schema = new_graph.name if side == "source" else other_schema
         target_schema = other_schema if side == "source" else new_graph.name

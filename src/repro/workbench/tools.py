@@ -105,12 +105,13 @@ class MatcherTool(Tool):
         triples did not change are built from the blackboard's typed
         views, not parsed from RDF, and the matrix write touches only
         the changed cells.  The engine decides reuse by schema content
-        (:meth:`HarmonyEngine.match`): an unchanged pair reuses
-        the warm context and its voter scores, and a pair changed by a
-        schema evolution is patched for what changed under
-        ``EngineConfig.incremental_rematch``.  Refinement rounds and
-        rematches after ``evolve_and_rematch`` therefore take the same
-        path, and no caller hint is involved.
+        (:meth:`HarmonyEngine.match`): under ``EngineConfig.reuse_context``
+        an unchanged pair reuses the warm context and its voter scores,
+        and a pair changed by a schema evolution is patched for what
+        changed.  Refinement rounds and rematches after
+        ``evolve_and_rematch`` therefore take the same path, and no
+        caller hint is involved.  Each changed cell is announced with a
+        :class:`MappingCellEvent` (Section 5.2.2).
         """
         blackboard = manager.blackboard
         source = blackboard.get_schema(source_schema)
@@ -125,38 +126,22 @@ class MatcherTool(Tool):
             (c.source_id, c.target_id): (c.confidence, c.is_user_defined)
             for c in matrix.cells()
         }
-        config = self.engine.config
         with manager.transaction():
             self.engine.match(source, target, matrix=matrix)
-            blackboard.put_matrix(matrix, delta=config.delta_matrix_rdf)
-            if config.batched_matrix:
-                cells_updated = sum(
-                    1
-                    for cell in matrix.cells()
-                    if before.get((cell.source_id, cell.target_id))
-                    != (cell.confidence, cell.is_user_defined)
-                )
-                manager.events.publish(
-                    MappingMatrixEvent(
-                        source_tool=self.name,
-                        matrix_name=matrix.name,
-                        cells_updated=cells_updated,
-                    )
-                )
-            else:
-                for cell in matrix.cells():
-                    pair = (cell.source_id, cell.target_id)
-                    if before.get(pair) != (cell.confidence, cell.is_user_defined):
-                        manager.events.publish(
-                            MappingCellEvent(
-                                source_tool=self.name,
-                                matrix_name=matrix.name,
-                                source_id=cell.source_id,
-                                target_id=cell.target_id,
-                                confidence=cell.confidence,
-                                user_defined=cell.is_user_defined,
-                            )
+            blackboard.put_matrix(matrix, delta=True)
+            for cell in matrix.cells():
+                pair = (cell.source_id, cell.target_id)
+                if before.get(pair) != (cell.confidence, cell.is_user_defined):
+                    manager.events.publish(
+                        MappingCellEvent(
+                            source_tool=self.name,
+                            matrix_name=matrix.name,
+                            source_id=cell.source_id,
+                            target_id=cell.target_id,
+                            confidence=cell.confidence,
+                            user_defined=cell.is_user_defined,
                         )
+                    )
         return matrix
 
 

@@ -41,8 +41,6 @@ def _ann_engine_config(**overrides):
     base = dict(
         embedding=True,
         blocking=BlockingConfig(strategy="ann"),
-        incremental_blocking=True,
-        incremental_rematch=True,
         reuse_context=True,
     )
     base.update(overrides)

@@ -1,4 +1,4 @@
-"""Tests for the fast match path: blocking, caching, parallelism, sparse flooding."""
+"""Tests for the fast match path: blocking, caching, parallelism."""
 
 import copy
 
@@ -21,7 +21,6 @@ from repro.harmony import (
     HarmonyEngine,
     MatchContext,
     MatchSession,
-    classic_flooding,
     evolution_closure,
     graph_delta,
 )
@@ -183,30 +182,6 @@ class TestContextReuse:
         run = session.run_engine()
         assert run.reused_context
         assert engine._last_context.corpus.weights_revision > rev_before
-
-
-class TestSparseFlooding:
-    def test_full_restriction_equals_dense(self, orders_graph, notice_graph):
-        context = MatchContext(orders_graph, notice_graph)
-        initial = {
-            (s.element_id, t.element_id): 0.5
-            for s, t in context.candidate_pairs()
-        }
-        everything = {
-            (s.element_id, t.element_id)
-            for s in orders_graph for t in notice_graph
-        }
-        dense = classic_flooding(orders_graph, notice_graph, initial)
-        sparse = classic_flooding(orders_graph, notice_graph, initial,
-                                  restrict_to=everything)
-        assert sparse == pytest.approx(dense)
-
-    def test_sparse_restriction_keeps_active_pairs(self, orders_graph, notice_graph):
-        initial = {("orders/customer/first_name",
-                    "notice/shippingNotice/recipientName/firstName"): 0.9}
-        result = classic_flooding(orders_graph, notice_graph, initial,
-                                  restrict_to=set(initial))
-        assert set(initial) <= set(result)
 
 
 class TestMatrixCellCount:

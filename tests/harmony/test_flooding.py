@@ -6,8 +6,8 @@ from repro.core import ElementKind, SchemaElement, SchemaGraph
 from repro.harmony import (
     DirectionalConfig,
     FloodingConfig,
-    classic_flooding,
-    directional_flooding,
+    FloodingState,
+    directional_flooding_compiled,
     flooded_ranking,
 )
 
@@ -33,31 +33,31 @@ class TestClassicFlooding:
         source, target = _parallel_graphs()
         # seed only the attribute pair (alpha, uno)
         initial = {("s/Person/alpha", "t/Human/uno"): 1.0}
-        result = classic_flooding(source, target, initial)
+        result = FloodingState().flood(source, target, initial)
         # similarity flows to the parent pair through the shared edge label
         assert result[("s/Person", "t/Human")] > 0.0
 
     def test_result_normalized(self):
         source, target = _parallel_graphs()
         initial = {("s/Person/alpha", "t/Human/uno"): 0.5}
-        result = classic_flooding(source, target, initial)
+        result = FloodingState().flood(source, target, initial)
         assert max(result.values()) == pytest.approx(1.0)
         assert all(v >= 0.0 for v in result.values())
 
     def test_converges_quickly_on_small_graphs(self):
         source, target = _parallel_graphs()
         config = FloodingConfig(max_iterations=500, epsilon=1e-6)
-        result = classic_flooding(source, target, {("s/Person", "t/Human"): 1.0}, config)
+        result = FloodingState().flood(source, target, {("s/Person", "t/Human"): 1.0}, config)
         assert result  # no blow-up, fixpoint reached
 
     def test_empty_seed(self):
         source, target = _parallel_graphs()
-        result = classic_flooding(source, target, {})
+        result = FloodingState().flood(source, target, {})
         assert all(v == 0.0 for v in result.values())
 
     def test_ranking_helper(self):
         source, target = _parallel_graphs()
-        result = classic_flooding(source, target, {("s/Person", "t/Human"): 1.0})
+        result = FloodingState().flood(source, target, {("s/Person", "t/Human"): 1.0})
         top = flooded_ranking(result, top=3)
         assert len(top) <= 3
         assert top[0][1] >= top[-1][1]
@@ -72,7 +72,7 @@ class TestDirectionalFlooding:
             ("s/Person/alpha", "t/Human/uno"): 0.9,
             ("s/Person/beta", "t/Human/dos"): 0.8,
         }
-        adjusted = directional_flooding(source, target, scores)
+        adjusted = directional_flooding_compiled(source, target, scores)
         assert adjusted[("s/Person", "t/Human")] > 0.1
 
     def test_negative_trickles_down(self):
@@ -83,7 +83,7 @@ class TestDirectionalFlooding:
             ("s/Person", "t/Human"): -0.8,
             ("s/Person/alpha", "t/Human/uno"): 0.5,
         }
-        adjusted = directional_flooding(source, target, scores)
+        adjusted = directional_flooding_compiled(source, target, scores)
         assert adjusted[("s/Person/alpha", "t/Human/uno")] < 0.5
 
     def test_positive_does_not_trickle_down(self):
@@ -92,7 +92,7 @@ class TestDirectionalFlooding:
             ("s/Person", "t/Human"): 0.9,
             ("s/Person/alpha", "t/Human/uno"): 0.2,
         }
-        adjusted = directional_flooding(source, target, scores)
+        adjusted = directional_flooding_compiled(source, target, scores)
         assert adjusted[("s/Person/alpha", "t/Human/uno")] == pytest.approx(0.2)
 
     def test_negative_does_not_propagate_up(self):
@@ -102,7 +102,7 @@ class TestDirectionalFlooding:
             ("s/Person/alpha", "t/Human/uno"): -0.9,
             ("s/Person/beta", "t/Human/dos"): -0.9,
         }
-        adjusted = directional_flooding(source, target, scores)
+        adjusted = directional_flooding_compiled(source, target, scores)
         assert adjusted[("s/Person", "t/Human")] == pytest.approx(0.3)
 
     def test_pinned_pairs_untouched(self):
@@ -112,7 +112,7 @@ class TestDirectionalFlooding:
             ("s/Person", "t/Human"): -0.8,
             ("s/Person/alpha", "t/Human/uno"): 1.0,
         }
-        adjusted = directional_flooding(
+        adjusted = directional_flooding_compiled(
             source, target, scores, pinned={("s/Person/alpha", "t/Human/uno")}
         )
         assert adjusted[("s/Person/alpha", "t/Human/uno")] == 1.0
@@ -125,11 +125,11 @@ class TestDirectionalFlooding:
             ("s/Person/beta", "t/Human/dos"): 0.95,
         }
         config = DirectionalConfig(up_rate=1.0, down_rate=1.0, iterations=5)
-        adjusted = directional_flooding(source, target, scores, config=config)
+        adjusted = directional_flooding_compiled(source, target, scores, config=config)
         assert all(-0.99 <= v <= 0.99 for v in adjusted.values())
 
     def test_zero_iterations_is_identity(self):
         source, target = _parallel_graphs()
         scores = {("s/Person", "t/Human"): 0.4}
         config = DirectionalConfig(iterations=0)
-        assert directional_flooding(source, target, scores, config=config) == scores
+        assert directional_flooding_compiled(source, target, scores, config=config) == scores

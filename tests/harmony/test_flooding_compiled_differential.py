@@ -1,17 +1,17 @@
-"""Differential harness: compiled flooding vs the reference fixpoints.
+"""Differential harness: compiled flooding vs the oracle fixpoints.
 
-``classic_flooding`` / ``directional_flooding`` are the clarity-first
-references — dict-keyed PCG nodes, per-iteration dict allocation.
-``CompiledPCG`` / ``FloodingState`` / ``directional_flooding_compiled``
-are the edge-array mirrors the fast path runs on (interned int ids,
-parallel ``array('l')``/``array('d')`` edge arrays, preallocated
-buffers).
+``classic_flooding`` / ``directional_flooding`` (``tests/oracles``) are
+the clarity-first oracles — dict-keyed PCG nodes, per-iteration dict
+allocation.  ``CompiledPCG`` / ``FloodingState`` /
+``directional_flooding_compiled`` are the edge-array versions the engine
+runs (interned int ids, parallel ``array('l')``/``array('d')`` edge
+arrays, preallocated buffers).
 
-This file is what lets the engine flip between them without a
-correctness argument in prose:
+This file is the correctness argument for running only the compiled
+versions:
 
-* cold compiled runs are *bit-identical* to the reference — the edge
-  arrays are flattened from the reference adjacency in its exact
+* cold compiled runs are *bit-identical* to the oracle — the edge
+  arrays are flattened from the oracle's adjacency in its exact
   iteration order, so every float accumulates in the same sequence;
 * a *patched* PCG (incremental rematch after schema evolution) is
   structurally identical to a fresh compile — same node set, same
@@ -36,12 +36,10 @@ from repro.harmony.flooding import (
     DirectionalConfig,
     FloodingConfig,
     FloodingState,
-    _pcg_edges,
-    classic_flooding,
     compile_pcg,
-    directional_flooding,
     directional_flooding_compiled,
 )
+from tests.oracles import classic_flooding, directional_flooding, pcg_edges
 
 TOLERANCE = 1e-12
 
@@ -147,24 +145,13 @@ class TestCompiledClassic:
         compiled = compile_pcg(source, target).run(initial)
         assert compiled == reference  # exact, not approximate
 
-    @given(seeds, seeds, seeds)
-    @settings(max_examples=40, deadline=None)
-    def test_sparse_restriction_matches(self, s1, s2, s3):
-        source, sids = _random_graph("s", s1)
-        target, tids = _random_graph("t", s2)
-        initial = _random_initial(sids, tids, s3)
-        restrict = set(initial)
-        reference = classic_flooding(source, target, initial, restrict_to=restrict)
-        compiled = FloodingState().flood(source, target, initial, restrict_to=restrict)
-        assert compiled == reference
-
     def test_epoch_reuse_skips_recompile(self):
         source, sids = _random_graph("s", 5)
         target, tids = _random_graph("t", 6)
         initial = _random_initial(sids, tids, 7)
         state = FloodingState()
-        first = state.flood(source, target, initial, restrict_to=set(initial))
-        second = state.flood(source, target, initial, restrict_to=set(initial))
+        first = state.flood(source, target, initial)
+        second = state.flood(source, target, initial)
         assert first == second
         assert state.compiles == 1 and state.patches == 0
 
@@ -279,7 +266,7 @@ class TestGoldenGraphs:
     def test_compiled_arrays_mirror_reference_adjacency(self):
         """The flattened edge arrays are the reference adjacency verbatim."""
         source, target = _golden_pair()
-        adjacency = _pcg_edges(source, target)
+        adjacency = pcg_edges(source, target)
         compiled = compile_pcg(source, target)
         rebuilt = {}
         for k in range(compiled.edge_count):
@@ -313,22 +300,21 @@ class TestIncrementalPatch:
         source, sids = _random_graph("s", s1)
         target, tids = _random_graph("t", s2)
         initial = _random_initial(sids, tids, s3)
-        restrict = set(initial)
 
         state = FloodingState()
-        state.flood(source, target, initial, restrict_to=restrict)
+        state.flood(source, target, initial)
 
         evolved = _random_evolution(source, sids, s4)
         delta = graph_delta(source, evolved)
         state.note_evolution(delta.structural | delta.added | delta.removed, ())
-        warm = state.flood(evolved, target, initial, restrict_to=restrict)
+        warm = state.flood(evolved, target, initial)
         assert state.patches == 1 and state.compiles == 1
 
-        fresh = compile_pcg(evolved, target, restrict_to=restrict)
+        fresh = compile_pcg(evolved, target)
         assert _structure_of(state.compiled) == _structure_of(fresh)
         assert set(state.compiled.node_index) == set(fresh.node_index)
 
-        cold = classic_flooding(evolved, target, initial, restrict_to=restrict)
+        cold = classic_flooding(evolved, target, initial)
         assert set(warm) == set(cold)
         for pair, value in warm.items():
             assert abs(value - cold[pair]) <= TOLERANCE
@@ -336,7 +322,7 @@ class TestIncrementalPatch:
     @given(seeds, seeds, seeds, seeds)
     @settings(max_examples=25, deadline=None)
     def test_patched_full_pcg_equals_fresh_compile(self, s1, s2, s3, s4):
-        """Same, without the sparse restriction (no frontier delta)."""
+        """Same, on smaller graphs seeded with fewer pairs."""
         from repro.harmony import graph_delta
 
         source, sids = _random_graph("s", s1, size=8)
@@ -393,10 +379,9 @@ class TestIncrementalPatch:
         source, sids = _random_graph("s", 11)
         target, tids = _random_graph("t", 12)
         initial = _random_initial(sids, tids, 13)
-        restrict = set(initial)
 
         state = FloodingState()
-        state.flood(source, target, initial, restrict_to=restrict)
+        state.flood(source, target, initial)
 
         evolved = source.copy()
         victim = next(
@@ -418,11 +403,11 @@ class TestIncrementalPatch:
         assert not delta.added and not delta.removed and not delta.changed
         assert delta.structural  # the whole point: edge-only evolution
         state.note_evolution(delta.structural, ())
-        warm = state.flood(evolved, target, initial, restrict_to=restrict)
+        warm = state.flood(evolved, target, initial)
         assert state.patches == 1
-        fresh = compile_pcg(evolved, target, restrict_to=restrict)
+        fresh = compile_pcg(evolved, target)
         assert _structure_of(state.compiled) == _structure_of(fresh)
-        cold = classic_flooding(evolved, target, initial, restrict_to=restrict)
+        cold = classic_flooding(evolved, target, initial)
         for pair, value in warm.items():
             assert abs(value - cold[pair]) <= TOLERANCE
 

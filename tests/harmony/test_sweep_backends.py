@@ -1,13 +1,13 @@
 """Differential harness: pluggable sweep backends for compiled flooding.
 
 ``CompiledPCG.run`` delegates its inner fixpoint to a
-:class:`SweepBackend`.  The Python backend *is* the reference loop
-(bit-identical to ``classic_flooding`` on a cold compile — that is
-already pinned by ``test_flooding_compiled_differential``); the NumPy
+:class:`SweepBackend`.  The Python backend is bit-identical to the
+``classic_flooding`` oracle (``tests/oracles``) on a cold compile — that
+is already pinned by ``test_flooding_compiled_differential``; the NumPy
 backend re-expresses each sweep as a ``np.bincount`` scatter over
 zero-copy ``np.frombuffer`` views of the same edge arrays; the C backend
 (``repro.harmony._csweep``, or a cffi runtime build of the same source)
-runs the reference loop statement-for-statement over the flat buffers.
+runs the Python loop statement-for-statement over the flat buffers.
 All accumulate in edge order, so the backends perform the same float
 additions in the same sequence — this file holds them to ``TOLERANCE``
 (they are bit-identical in practice), covers the directional sweep the
@@ -31,14 +31,13 @@ from repro.harmony.flooding import (
     FloodingConfig,
     NumpySweepBackend,
     PythonSweepBackend,
-    classic_flooding,
     compile_pcg,
-    directional_flooding,
     directional_flooding_compiled,
     reset_sweep_run_stats,
     resolve_sweep_backend,
     sweep_run_stats,
 )
+from tests.oracles import classic_flooding, directional_flooding
 
 TOLERANCE = 1e-12
 

@@ -15,7 +15,7 @@ from repro.core import (
     clamp_confidence,
     top_correspondences,
 )
-from repro.harmony import VoteMerger, directional_flooding
+from repro.harmony import VoteMerger, directional_flooding_compiled
 from repro.instances import link_records, LinkageConfig
 
 names = st.text(alphabet=string.ascii_lowercase, min_size=1, max_size=8)
@@ -108,7 +108,7 @@ class TestFloodingProperties:
     @settings(max_examples=50)
     def test_directional_flooding_stays_in_range(self, scores):
         source, target = self._graphs()
-        adjusted = directional_flooding(source, target, scores)
+        adjusted = directional_flooding_compiled(source, target, scores)
         assert set(adjusted) == set(scores)
         for value in adjusted.values():
             assert -1.0 <= value <= 1.0

@@ -1,10 +1,10 @@
 """Differential harness: the cost-based planner vs the reference evaluator.
 
-``evaluate_reference`` is the clarity-first oracle (greedy most-bound
-ordering, one store probe per pattern per binding); ``evaluate_planned``
-is the cost-based mirror (cardinality-estimated join order off the
-store's O(1) index statistics, a revision-keyed pattern-result memo, and
-set-intersection bind-joins).  Hypothesis generates random stores and
+``evaluate_reference`` (``tests/oracles``) is the clarity-first oracle
+(greedy most-bound ordering, one store probe per pattern per binding);
+``evaluate_planned`` is the cost-based mirror (cardinality-estimated
+join order off the store's O(1) index statistics, a revision-keyed
+pattern-result memo, and set-intersection bind-joins).  Hypothesis generates random stores and
 BGPs and asserts both return the same solution *multiset*; unit tests
 pin down the statistics layer (``count_matching``, ``revision``, the
 index-set accessors) and the plan bookkeeping ``explain`` reports.
@@ -23,10 +23,10 @@ from repro.rdf import (
     Variable,
     evaluate,
     evaluate_planned,
-    evaluate_reference,
     explain,
     literal,
 )
+from tests.oracles import evaluate_reference
 
 # a deliberately small universe so random patterns actually join
 SUBJECTS = [IRI(f"urn:s{i}") for i in range(4)]
@@ -91,8 +91,9 @@ class TestPlannedVsReference:
     def test_evaluate_defaults_to_planner_and_agrees(self):
         store = build_store([(SUBJECTS[0], PREDICATES[0], OBJECTS[0])])
         query = Query().where(VARIABLES[0], PREDICATES[0], OBJECTS[0])
+        assert evaluate(store, query) == evaluate_planned(store, query)
         assert solution_multiset(evaluate(store, query)) == solution_multiset(
-            evaluate(store, query, use_planner=False)
+            evaluate_reference(store, query)
         )
 
     def test_repeated_variable_pattern(self):

@@ -17,6 +17,8 @@ writes that persist part of the volatile tail, short writes from an
 exhausted disk, and bit-flipped frames that must fail the checksum.
 """
 
+import gc
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -382,6 +384,8 @@ class TestCheckpointing:
         fs.corrupt(snap, len(fs.read_bytes(snap)) // 2)
         with pytest.raises(DurabilityError):
             DurableStore(DB, fs=fs)
+        # recovery pauses the cyclic collector; a failed load restores it
+        assert gc.isenabled()
 
 
 class TestRealFilesystem:

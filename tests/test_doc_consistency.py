@@ -1,6 +1,7 @@
 """Docs must keep up with the code: every CI-enforced config flag
 (EngineConfig, ServingConfig, BlockingConfig, EmbedConfig, AnnConfig)
-documented in its doc set."""
+documented in its doc set, and the README's EngineConfig table listing
+exactly the dataclass's fields."""
 
 import os
 import sys
@@ -20,6 +21,7 @@ def test_every_config_flag_is_documented():
         + ", ".join(f"{config}.{flag} in {path}"
                     for config, flag, path in missing)
     )
+    assert check_doc_flags.table_mismatches() == []
 
 
 def test_checker_covers_every_config_and_its_docs():
@@ -40,3 +42,23 @@ def test_checker_covers_every_config_and_its_docs():
     assert os.path.join("docs", "MATCHING.md") in doc_sets["BlockingConfig"]
     assert performance in doc_sets["EmbedConfig"]
     assert performance in doc_sets["AnnConfig"]
+
+
+def test_planted_stale_table_row_fails():
+    """A row for a field the dataclass no longer has is reported."""
+    readme = os.path.join(os.path.dirname(SCRIPTS), "README.md")
+    with open(readme, "r", encoding="utf-8") as handle:
+        text = handle.read()
+    anchor = "| `parallelism` |"
+    assert anchor in text
+    planted = text.replace(
+        anchor,
+        "| `sparse_flooding` | `False` | `True` | a deleted flag |\n" + anchor,
+        1,
+    )
+    mismatches = check_doc_flags.table_mismatches({"README.md": planted})
+    assert mismatches == [
+        ("EngineConfig", "sparse_flooding", "README.md", "stale row")]
+    dropped = text.replace(anchor, "| `not_parallelism` |", 1)
+    assert ("EngineConfig", "parallelism", "README.md", "missing row") in (
+        check_doc_flags.table_mismatches({"README.md": dropped}))

@@ -1,13 +1,15 @@
 """Differential harness: the optimized kernels vs the reference oracle.
 
 ``repro.text.similarity`` is the clarity-first reference; ``repro.text.
-kernels`` is the memoized / early-exit / band-limited mirror the fast
-match path runs on.  This harness is what lets the engine flip between
-them without a correctness argument in prose: hypothesis-driven property
-tests plus a frozen golden corpus of real schema tokens (the A12-large
-registry pair and the orders/shippingNotice case-study pair) assert the
-two agree to within ``TOLERANCE`` on every pair, and that an engine run
-with ``similarity_kernels=True`` produces the identical mapping matrix.
+kernels`` is the memoized / early-exit / band-limited mirror the match
+pipeline runs on.  This harness is the correctness argument for scoring
+only through the kernels: hypothesis-driven property tests plus a frozen
+golden corpus of real schema tokens (the A12-large registry pair and the
+orders/shippingNotice case-study pair) assert the two agree to within
+``TOLERANCE`` on every pair, and that the engine's matrix does not move
+when its voters score through the reference measures instead.  The
+frozen matrix golden in ``tests/harmony/test_engine_golden.py`` pins
+the engine's output on the standard suite.
 """
 
 import json
@@ -163,13 +165,17 @@ class TestGoldenCorpus:
 
 
 class TestEngineEquivalence:
-    """Flipping ``similarity_kernels`` must not move a single confidence."""
+    """The engine scores names and structure through the kernels; with
+    its voters pointed at the reference measures instead, not a single
+    confidence may move."""
 
-    def test_kernel_run_bit_identical(self, orders_graph, notice_graph):
+    def test_kernel_run_bit_identical(self, orders_graph, notice_graph, monkeypatch):
+        from repro.harmony.voters import name, structure
+
+        kerneled = HarmonyEngine().match(orders_graph, notice_graph)
+        monkeypatch.setattr(name, "kernels", reference)
+        monkeypatch.setattr(structure, "kernels", reference)
         plain = HarmonyEngine().match(orders_graph, notice_graph)
-        kerneled = HarmonyEngine(
-            config=EngineConfig(similarity_kernels=True)
-        ).match(orders_graph, notice_graph)
         plain_cells = {(c.source_id, c.target_id): c.confidence
                        for c in plain.matrix.cells()}
         kernel_cells = {(c.source_id, c.target_id): c.confidence
@@ -178,7 +184,13 @@ class TestEngineEquivalence:
         for pair, confidence in plain_cells.items():
             assert abs(confidence - kernel_cells[pair]) <= TOLERANCE, pair
 
-    def test_fast_preset_enables_kernels(self):
-        assert EngineConfig.fast().similarity_kernels is True
-        assert EngineConfig().similarity_kernels is False
-        assert EngineConfig.fast(similarity_kernels=False).similarity_kernels is False
+    def test_fast_preset_enables_kernels(self, orders_graph, notice_graph):
+        """No configuration routes around the kernels: the default and
+        the ``fast()`` engine both fill the kernel caches."""
+        for config in (EngineConfig(), EngineConfig.fast()):
+            kernels.clear_caches()
+            HarmonyEngine(config=config).match(orders_graph, notice_graph)
+            stats = kernels.cache_stats()
+            assert stats["token_jw"]["misses"] > 0
+            assert stats["monge_elkan_rows"]["misses"] > 0
+        kernels.clear_caches()

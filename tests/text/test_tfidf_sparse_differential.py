@@ -2,16 +2,19 @@
 
 ``repro.text.tfidf.TfIdfCorpus`` is the clarity-first reference — one
 ``{term: weight}`` dict per document, cosine as a per-term dict probe.
-``repro.text.tfidf_sparse.SparseTfIdf`` is the packed mirror the fast
-match path runs on: interned term ids, sorted-array vectors, and a
+``repro.text.tfidf_sparse.SparseTfIdf`` is the packed mirror the match
+pipeline runs on: interned term ids, sorted-array vectors, and a
 postings index that only ever visits document pairs sharing a term.
 
-As with the string-kernel harness next door, this file is what lets the
-engine flip between the two without a correctness argument in prose:
+As with the string-kernel harness next door, this file is the
+correctness argument for scoring only through the sparse engine:
 hypothesis-generated corpora plus the frozen golden schema corpus assert
-agreement to within ``TOLERANCE`` on every pair, the postings-driven
-``all_pairs`` / ``top_k_similar`` contracts hold exactly, and an engine
-run with ``sparse_tfidf=True`` produces the identical mapping matrix.
+agreement to within ``TOLERANCE`` on every pair, and the postings-driven
+``all_pairs`` / ``top_k_similar`` contracts hold exactly, and the
+engine's matrix does not move when the context's cosine reads the dict
+reference instead.  The frozen matrix golden in
+``tests/harmony/test_engine_golden.py`` pins the engine's output on the
+standard suite.
 """
 
 import json
@@ -22,7 +25,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.harmony import EngineConfig, HarmonyEngine
+from repro.harmony import EngineConfig, HarmonyEngine, MatchContext
 from repro.text import SparseTfIdf, TfIdfCorpus
 from repro.text import tfidf_sparse as tfidf_sparse_mod
 from repro.text.tfidf_sparse import (
@@ -314,34 +317,48 @@ class TestAllPairsBackends:
         assert worst <= TOLERANCE, f"max |csr - merge| = {worst}"
 
 
-class TestEngineEquivalence:
-    """Flipping ``sparse_tfidf`` must not move a single confidence."""
+def _dict_cosine(context, doc_a, doc_b):
+    return context.corpus.cosine(doc_a, doc_b)
 
-    def test_sparse_run_matrix_identical(self, orders_graph, notice_graph):
-        plain = HarmonyEngine().match(orders_graph, notice_graph)
-        sparse = HarmonyEngine(
-            config=EngineConfig(sparse_tfidf=True)
-        ).match(orders_graph, notice_graph)
-        plain_cells = {(c.source_id, c.target_id): c.confidence
-                       for c in plain.matrix.cells()}
-        sparse_cells = {(c.source_id, c.target_id): c.confidence
-                        for c in sparse.matrix.cells()}
+
+class TestEngineEquivalence:
+    """The engine scores documentation through the sparse ``all_pairs``
+    table; with the context's cosine pointed at the dict reference
+    instead, not a single confidence may move."""
+
+    def _cells(self, orders_graph, notice_graph):
+        run = HarmonyEngine().match(orders_graph, notice_graph)
+        return {(c.source_id, c.target_id): c.confidence
+                for c in run.matrix.cells()}
+
+    def test_sparse_run_matrix_identical(self, orders_graph, notice_graph, monkeypatch):
+        sparse_cells = self._cells(orders_graph, notice_graph)
+        monkeypatch.setattr(MatchContext, "cosine", _dict_cosine)
+        plain_cells = self._cells(orders_graph, notice_graph)
         assert plain_cells.keys() == sparse_cells.keys()
         for pair, confidence in plain_cells.items():
             assert abs(confidence - sparse_cells[pair]) <= TOLERANCE, pair
 
-    def test_sparse_composes_with_kernels(self, orders_graph, notice_graph):
-        plain = HarmonyEngine().match(orders_graph, notice_graph)
-        both = HarmonyEngine(
-            config=EngineConfig(similarity_kernels=True, sparse_tfidf=True)
-        ).match(orders_graph, notice_graph)
-        plain_cells = {(c.source_id, c.target_id): c.confidence
-                       for c in plain.matrix.cells()}
-        for cell in both.matrix.cells():
-            want = plain_cells[(cell.source_id, cell.target_id)]
-            assert abs(cell.confidence - want) <= TOLERANCE
+    def test_sparse_composes_with_kernels(self, orders_graph, notice_graph, monkeypatch):
+        """Both reference scorers at once: dict cosine and the reference
+        string measures."""
+        from repro.harmony.voters import name, structure
+        from repro.text import similarity
 
-    def test_fast_preset_enables_sparse_tfidf(self):
-        assert EngineConfig.fast().sparse_tfidf is True
-        assert EngineConfig().sparse_tfidf is False
-        assert EngineConfig.fast(sparse_tfidf=False).sparse_tfidf is False
+        production = self._cells(orders_graph, notice_graph)
+        monkeypatch.setattr(MatchContext, "cosine", _dict_cosine)
+        monkeypatch.setattr(name, "kernels", similarity)
+        monkeypatch.setattr(structure, "kernels", similarity)
+        plain_cells = self._cells(orders_graph, notice_graph)
+        assert plain_cells.keys() == production.keys()
+        for pair, want in plain_cells.items():
+            assert abs(production[pair] - want) <= TOLERANCE
+
+    def test_fast_preset_enables_sparse_tfidf(self, orders_graph, notice_graph):
+        """No configuration routes around the sparse engine: the default
+        and the ``fast()`` engine both run one ``all_pairs`` sweep."""
+        for config in (EngineConfig(), EngineConfig.fast()):
+            reset_all_pairs_stats()
+            HarmonyEngine(config=config).match(orders_graph, notice_graph)
+            stats = all_pairs_stats()
+            assert stats["allpairs_merge_sweeps"] + stats["allpairs_csr_sweeps"] == 1

@@ -217,10 +217,11 @@ class TestStructuralEvolution:
     ):
         """End to end through the workbench with the incremental engine:
         a containment-only rewire must trigger a rematch (the engine goes
-        through its patching path) and publish the coalesced matrix event."""
+        through its patching path) that announces each changed cell with
+        a ``MappingCellEvent`` (Section 5.2.2)."""
         from repro.harmony import EngineConfig, HarmonyEngine
         from repro.loaders import SqlDdlLoader, XsdLoader
-        from repro.workbench import MappingMatrixEvent
+        from repro.workbench import MappingCellEvent, MappingMatrixEvent
 
         engine = HarmonyEngine(config=EngineConfig.fast())
         manager = WorkbenchManager()
@@ -232,7 +233,9 @@ class TestStructuralEvolution:
         matrix = manager.invoke("harmony", source_schema="orders",
                                 target_schema="notice")
 
+        cell_events = []
         matrix_events = []
+        manager.events.subscribe(MappingCellEvent, cell_events.append)
         manager.events.subscribe(MappingMatrixEvent, matrix_events.append)
 
         old_graph = manager.blackboard.get_schema("orders")
@@ -252,9 +255,16 @@ class TestStructuralEvolution:
         assert report.needs_rematch
         # incremental path taken, not a cold rebuild
         assert engine.rematch_patches == 1
-        # batched_matrix: one coalesced event, not per-cell spam
-        assert len(matrix_events) == 1
-        assert matrix_events[0].cells_updated > 0
+        # one event per changed cell, each carrying the stored confidence,
+        # and no coalesced matrix event
+        assert cell_events and not matrix_events
+        assert all(event.source_tool == "harmony" for event in cell_events)
+        pairs = {(event.source_id, event.target_id) for event in cell_events}
+        assert len(pairs) == len(cell_events)
+        final = manager.blackboard.get_matrix(matrix.name)
+        for event in cell_events:
+            stored = final.peek(event.source_id, event.target_id)
+            assert stored.confidence == event.confidence
 
 
 def _graph_t() -> SchemaGraph:
@@ -269,10 +279,11 @@ def _graph_t() -> SchemaGraph:
 
 
 class TestDeltaSchemaSerialization:
-    """``delta_schema_rdf=True`` routes the evolved schema through the
-    O(delta) serializer without changing any observable blackboard state."""
+    """``evolve_and_rematch`` writes the evolved schema and matrix
+    through the blackboard's delta path; the same evolution written
+    through its bulk path must leave identical observable state."""
 
-    def _run(self, config):
+    def _workbench(self, config=None):
         from repro.harmony import HarmonyEngine
 
         manager = WorkbenchManager()
@@ -281,34 +292,50 @@ class TestDeltaSchemaSerialization:
         manager.blackboard.put_schema(_graph_t())
         matrix = manager.invoke(
             "harmony", source_schema="s", target_schema="t")
-        report = evolve_and_rematch(
-            manager, matrix.name, _graph_v1(), _graph_v2(),
-            side="source", other_schema="t")
-        return manager, report
+        return manager, matrix
 
     def test_delta_flag_produces_identical_blackboard_state(self):
-        from repro.harmony import EngineConfig
         from repro.rdf import reset_serialization_stats, serialization_stats
 
         reset_serialization_stats()
-        plain_manager, plain_report = self._run(EngineConfig())
-        baseline = serialization_stats()
-        assert baseline["schema_delta_serializations"] == 0
-        delta_manager, delta_report = self._run(
-            EngineConfig(delta_schema_rdf=True))
-        stats = serialization_stats()
-        assert stats["schema_delta_serializations"] >= 1
-        assert set(plain_manager.blackboard.store) == set(
+        bulk_manager, matrix = self._workbench()
+        board = bulk_manager.blackboard
+        bulk_report = apply_evolution(
+            matrix, diff_schemas(_graph_v1(), _graph_v2()), side="source",
+            schema_name="s")
+        with bulk_manager.transaction():
+            board.put_schema(_graph_v2(), delta=False)
+            board.put_matrix(matrix, delta=False)
+        bulk_manager.invoke("harmony", source_schema="s", target_schema="t",
+                            matrix_name=matrix.name)
+        assert serialization_stats()["schema_delta_serializations"] == 0
+
+        delta_manager, matrix = self._workbench()
+        delta_report = evolve_and_rematch(
+            delta_manager, matrix.name, _graph_v1(), _graph_v2(),
+            side="source", other_schema="t")
+        assert serialization_stats()["schema_delta_serializations"] >= 1
+
+        assert set(bulk_manager.blackboard.store) == set(
             delta_manager.blackboard.store)
-        assert plain_report.axes_added == delta_report.axes_added
+        assert bulk_report.axes_added == delta_report.axes_added
         restored = delta_manager.blackboard.get_schema("s")
         assert sorted(restored.element_ids) == sorted(_graph_v2().element_ids)
 
     def test_fast_preset_enables_delta_schema_rdf(self):
+        """No engine configuration routes an evolve step around the
+        delta schema write."""
         from repro.harmony import EngineConfig
+        from repro.rdf import reset_serialization_stats, serialization_stats
 
-        assert EngineConfig.fast().delta_schema_rdf is True
-        assert EngineConfig().delta_schema_rdf is False
+        for config in (EngineConfig(), EngineConfig.fast()):
+            manager, matrix = self._workbench(config)
+            reset_serialization_stats()
+            evolve_and_rematch(manager, matrix.name, _graph_v1(), _graph_v2(),
+                               side="source", other_schema="t")
+            stats = serialization_stats()
+            assert stats["schema_delta_serializations"] == 1
+            assert stats["matrix_bulk_serializations"] == 0
 
 
 def _ledger(renamed: bool = False):
@@ -397,36 +424,42 @@ class TestEvolutionMatchesColdMatch:
         assert _cells(warm) == _cells(decided)
 
     def test_an_evolve_step_writes_only_the_changed_triples(self):
-        """Finding (b): under ``delta_matrix_rdf`` the evolve step's matrix
-        write touches only the triples that change, and lands the same
-        store as the bulk rewrite."""
-        import dataclasses
-
+        """Finding (b): the evolve step's matrix write touches only the
+        triples that change, and lands the same store as the same step
+        written through the blackboard's bulk rewrite."""
         from repro.harmony import EngineConfig, HarmonyEngine
         from repro.rdf import serialization_stats
         from repro.rdf.schema_rdf import MATRIX_BASE
 
-        def evolve(config):
+        def evolve(delta):
             manager = WorkbenchManager()
-            manager.register(MatcherTool(HarmonyEngine(config=config)))
+            manager.register(MatcherTool(HarmonyEngine(config=EngineConfig.fast())))
             v1, target = _ledger()
             with manager.transaction():
                 manager.blackboard.put_schema(v1)
                 manager.blackboard.put_schema(target)
             manager.invoke("harmony", source_schema="ledger",
                            target_schema="depot", matrix_name="m")
-            store = manager.blackboard.store
+            board = manager.blackboard
+            store = board.store
             before, counts = store.snapshot(), serialization_stats()
-            # no other_schema: the evolve step alone, without the rematch
-            evolve_and_rematch(manager, "m", v1, _ledger(renamed=True)[0],
-                               side="source")
+            v2 = _ledger(renamed=True)[0]
+            if delta:
+                # no other_schema: the evolve step alone, without the rematch
+                evolve_and_rematch(manager, "m", v1, v2, side="source")
+            else:
+                matrix = board.get_matrix("m")
+                apply_evolution(matrix, diff_schemas(v1, v2), side="source",
+                                schema_name=v2.name)
+                with manager.transaction():
+                    board.put_schema(v2, delta=True, previous=v1)
+                    board.put_matrix(matrix, delta=False)
             now = serialization_stats()
             return before, store.snapshot(), {
                 key: now[key] - counts[key] for key in now}
 
-        before, after, delta = evolve(EngineConfig.fast())
-        bulk_before, bulk_after, bulk = evolve(
-            dataclasses.replace(EngineConfig.fast(), delta_matrix_rdf=False))
+        before, after, delta = evolve(True)
+        bulk_before, bulk_after, bulk = evolve(False)
         assert (before, after) == (bulk_before, bulk_after)
 
         def matrix_triples(triples):
