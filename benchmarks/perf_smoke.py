@@ -62,28 +62,26 @@ and enforces these guards:
   the full slice-diff oracle (``tests/workbench/matrix_oracle.py``)
   adds and removes over the same store, landing the same triples.
   Counters only — no wall-clock ratio.
-* **sweep-backend micro-benchmark** — the same classic fixpoint on the
-  same compiled A12-large edge arrays through all importable backends:
-  the NumPy ``bincount`` sweep must run at least ``SWEEP_MIN_SPEEDUP``
-  times faster than the pure-Python gather/scatter loop, and the C
-  extension (``repro.harmony._csweep``) at least
-  ``C_SWEEP_MIN_SPEEDUP`` times faster than the Python loop *and*
-  ``C_SWEEP_MIN_VS_NUMPY`` times faster than the NumPy sweep — all
-  agreeing to 1e-12 on every pair.  Each accelerator gate is skipped
-  (with a note) when its backend is not importable/buildable — the
-  bench stays dependency-free.
+* **sweep-kernel micro-benchmark** — the same classic fixpoint on the
+  same compiled A12-large edge arrays through both kernels: the C
+  extension (``repro.harmony._csweep``) must run at least
+  ``C_SWEEP_MIN_SPEEDUP`` times faster than the pure-Python
+  gather/scatter loop, agreeing to 1e-12 on every pair.  Skipped (with
+  a note) where the extension is not built — the bench stays
+  dependency-free.
 * **schema-serialization micro-benchmark** — a chain of small schema
   evolutions of the A12 source: re-landing each version through
   ``serialize_schema(delta=True, previous=...)`` must run at least
   ``SCHEMA_SERIALIZE_MIN_SPEEDUP`` times faster than the remove +
   full-rewrite discipline ``put_schema`` used before, producing the
   byte-identical store state every round.
-* **all-pairs backend micro-benchmark** — the documentation voter's
+* **all-pairs micro-benchmark** — the documentation voter's
   cross-partition ``SparseTfIdf.all_pairs`` sweep over a 12-model
   registry documentation corpus through the CSR matmul route must run
   at least ``ALLPAIRS_MIN_SPEEDUP`` times faster than the postings
-  sorted-merge reference, with identical pair membership and values
-  within 1e-12.  Skipped (with a note) when NumPy is not importable.
+  sorted-merge reference (the route taken where NumPy is not
+  importable), with identical pair membership and values within 1e-12.
+  Skipped (with a note) when NumPy is not importable.
 * **blocking-index micro-benchmark** — across a series of single-element
   evolutions, retrieval through the patched persistent
   ``BlockingIndex`` must run at least ``BLOCKING_MIN_SPEEDUP`` times
@@ -123,17 +121,12 @@ and enforces these guards:
   the same ``EngineConfig.fast()``, with every pair matrix bit-identical
   (1e-12).  Skipped (with a note) on single-CPU runners, where a process
   pool cannot win.
-* **serving gates** — (1) the single-session sequential workflow (match,
+* **serving gate** — the single-session sequential workflow (match,
   canned query, cell update, repeated) through the
   :class:`~repro.serving.server.WorkbenchServer` job queue must cost at
   most ``SERVING_MAX_OVERHEAD`` times the identical direct
   ``WorkbenchManager``-and-engine calls, best-of-2 per arm — the queue
-  hop, session lock, and future plumbing are the overhead being bounded;
-  (2) a multi-session match load through 4 process-executor workers must
-  reach at least ``SERVING_MIN_PARALLEL_SPEEDUP`` times the aggregate
-  throughput of the single-worker thread server on the same load, with
-  every matrix bit-identical.  Skipped (with a note) on single-CPU
-  runners, where no executor can win.
+  hop, session lock, and future plumbing are the overhead being bounded.
 * **N-way pruning gate** — hub-schema pair selection over the 100-schema
   family workload must run at least ``NWAY_MIN_PRUNED_SPEEDUP`` times
   faster than the exhaustive sweep (both arms at the same parallelism),
@@ -172,7 +165,6 @@ from repro.harmony import (
     evolution_closure,
     graph_delta,
     match_all_pairs,
-    resolve_sweep_backend,
     select_pairs,
 )
 from repro.embed import AnnConfig, AnnIndex, resolve_embed_backend
@@ -180,9 +172,12 @@ from repro.embed.ann import ann_stats, reset_ann_stats
 from repro.harmony import snapshot_embeddings
 from repro.harmony.blocking import _family
 from repro.harmony.flooding import (
+    PYTHON_SWEEP_BACKEND,
+    CSweepBackend,
     FloodingConfig,
     FloodingState,
     compile_pcg,
+    default_sweep_backend,
     reset_sweep_run_stats,
     sweep_run_stats,
 )
@@ -214,6 +209,7 @@ from repro.rdf import vocabulary as V
 from repro.workbench import IntegrationBlackboard, MatcherTool, WorkbenchManager
 from repro.registry import RegistryProfile, generate_registry
 from repro.text import SparseTfIdf, TfIdfCorpus, kernels, similarity
+from repro.text import tfidf_sparse
 from repro.text.tfidf_sparse import all_pairs_stats, reset_all_pairs_stats
 from repro.text.tokenize import split_identifier
 
@@ -248,12 +244,8 @@ FLOODING_MIN_SPEEDUP = 3.0
 REMATCH_MIN_SPEEDUP = 2.0
 #: accept/reject + MatcherTool rounds behind the refinement counter gate
 REFINE_ROUNDS = 4
-#: the numpy bincount sweep must beat the python loop by this factor
-SWEEP_MIN_SPEEDUP = 2.0
 #: the C sweep extension must beat the python loop by this factor
 C_SWEEP_MIN_SPEEDUP = 20.0
-#: ... and the numpy bincount sweep by this factor
-C_SWEEP_MIN_VS_NUMPY = 2.0
 #: delta schema re-serialization must beat remove + full rewrite by this
 SCHEMA_SERIALIZE_MIN_SPEEDUP = 3.0
 #: the CSR all_pairs matmul must beat the postings merge by this factor
@@ -287,14 +279,8 @@ NWAY_PRUNED_TIER = 100
 #: the serving layer may cost at most this multiple of direct
 #: WorkbenchManager calls on a single-session sequential workload
 SERVING_MAX_OVERHEAD = 1.5
-#: 4 process-executor workers must beat the single-worker thread server
-#: by this factor in aggregate throughput on a multi-session load
-SERVING_MIN_PARALLEL_SPEEDUP = 2.0
 #: rounds of (match, query, update_cell) in the serving overhead arm
 SERVING_ROUNDS = 4
-#: sessions x matches-per-session in the serving throughput arm
-SERVING_LOAD_SESSIONS = 8
-SERVING_LOAD_MATCHES = 2
 #: ANN top-k retrieval must beat exhaustive cosine by this factor on the
 #: resolved backend (the numpy matvec reference is much faster, so its
 #: bar is higher than the pure-python loop's)
@@ -647,9 +633,9 @@ SWEEP_ROUNDS = 3
 
 def _sweep_entries(compiled, initial):
     """Precompute the dense ``(index, value)`` entry list that
-    ``CompiledPCG.run`` builds from the initial scores, so every backend
-    arm times :meth:`SweepBackend.sweep_classic` alone — the fixpoint
-    kernel — and not the shared entry-build/result-dict bookkeeping."""
+    ``CompiledPCG.run`` builds from the initial scores, so every kernel
+    arm times ``sweep_classic`` alone — the fixpoint kernel — and not
+    the shared entry-build/result-dict bookkeeping."""
     index = compiled.node_index
     structural_n = len(compiled.nodes)
     extra = {}
@@ -668,12 +654,11 @@ def _sweep_entries(compiled, initial):
 
 
 def _sweep_microbench(source, target):
-    """The classic fixpoint kernel on the compiled A12-large edge arrays
-    through every importable backend, on identical precomputed entries:
-    pure-Python gather/scatter (always), the NumPy ``bincount`` sweep,
-    and the C extension.  Every accelerated σ vector must agree with the
-    python one to 1e-12.  An accelerator arm whose backend cannot import
-    is skipped with a note — the smoke stays runnable on a
+    """The classic fixpoint kernel on the compiled A12-large edge arrays,
+    on identical precomputed entries: pure-Python gather/scatter
+    (always) and the C extension.  The C σ vector must agree with the
+    python one to 1e-12.  The C arm is skipped with a note where the
+    extension is not built — the smoke stays runnable on a
     dependency-free install."""
     compiled = compile_pcg(source, target)
     source_ids = sorted(e.element_id for e in source)
@@ -685,7 +670,7 @@ def _sweep_microbench(source, target):
     entries, n = _sweep_entries(compiled, initial)
     # epsilon=0 disables the residual early-exit so every arm runs the
     # identical 50 iterations — the per-call setup overhead amortizes and
-    # the backend ratios stop flapping with timer noise on ~1ms walls
+    # the kernel ratio stops flapping with timer noise on ~1ms walls
     config = FloodingConfig(max_iterations=50, epsilon=0.0)
 
     def best_of_3(backend):
@@ -697,47 +682,28 @@ def _sweep_microbench(source, target):
             wall = min(wall, time.perf_counter() - t0)
         return wall, sigma
 
-    python_backend = resolve_sweep_backend("python")
-    python_wall, python_sigma = best_of_3(python_backend)
+    python_wall, python_sigma = best_of_3(PYTHON_SWEEP_BACKEND)
 
     result = {
         "sweep_pcg_edges": compiled.edge_count,
-        "sweep_backend": resolve_sweep_backend("auto").name,
+        "sweep_backend": default_sweep_backend().name,
         "sweep_python_wall_s": round(python_wall, 4),
     }
-
-    def accelerated_arm(selector):
-        try:
-            backend = resolve_sweep_backend(selector)
-        except ImportError:
-            return None
-        wall, sigma = best_of_3(backend)
-        worst = max(abs(sigma[i] - python_sigma[i]) for i in range(n))
-        if worst > SPARSE_TOLERANCE:
-            raise AssertionError(
-                f"{selector} sweep drifted from the python loop by {worst} "
-                f"(> {SPARSE_TOLERANCE})")
-        return wall
-
-    numpy_wall = accelerated_arm("numpy")
-    if numpy_wall is None:
-        print("note: numpy not importable; numpy sweep gate skipped")
-    else:
-        result.update({
-            "sweep_numpy_wall_s": round(numpy_wall, 4),
-            "sweep_speedup": round(python_wall / numpy_wall, 2),
-        })
-
-    c_wall = accelerated_arm("c")
-    if c_wall is None:
+    try:
+        c_backend = CSweepBackend()
+    except ImportError:
         print("note: C sweep extension not importable; C sweep gate skipped")
-    else:
-        result.update({
-            "sweep_c_wall_s": round(c_wall, 4),
-            "sweep_c_speedup": round(python_wall / c_wall, 2),
-        })
-        if numpy_wall is not None:
-            result["sweep_c_vs_numpy"] = round(numpy_wall / c_wall, 2)
+        return result
+    c_wall, c_sigma = best_of_3(c_backend)
+    worst = max(abs(c_sigma[i] - python_sigma[i]) for i in range(n))
+    if worst > SPARSE_TOLERANCE:
+        raise AssertionError(
+            f"c sweep drifted from the python loop by {worst} "
+            f"(> {SPARSE_TOLERANCE})")
+    result.update({
+        "sweep_c_wall_s": round(c_wall, 4),
+        "sweep_c_speedup": round(python_wall / c_wall, 2),
+    })
     return result
 
 
@@ -1181,10 +1147,11 @@ def _allpairs_microbench():
     """The documentation voter's cross-partition sweep at registry scale:
     a 12-model registry's documentation corpus, partitioned the way
     ``warm_pair_sims`` does — one schema's docs as the source group
-    against everything else.  The postings sorted-merge reference vs the
-    CSR matmul route, best-of-2 after a warm pass, with identical pair
-    membership and 1e-12 value agreement.  Skipped (with a note) when
-    NumPy is not importable."""
+    against everything else.  The postings sorted-merge reference (run
+    as it runs where NumPy is not importable) vs the CSR matmul route,
+    best-of-2 after a warm pass, with identical pair membership and
+    1e-12 value agreement.  Skipped (with a note) when NumPy is not
+    importable."""
     profile = RegistryProfile(
         model_count=ALLPAIRS_MODELS,
         elements_per_model=10,
@@ -1209,25 +1176,29 @@ def _allpairs_microbench():
         return doc in group_a
 
     reset_all_pairs_stats()
-    merge = SparseTfIdf(corpus, all_pairs_backend="merge")
-    merge_table = merge.all_pairs(group_of=group_of)  # warm the lazy pack
-    merge_wall = float("inf")
-    for _ in range(2):
-        t0 = time.perf_counter()
-        merge.all_pairs(group_of=group_of)
-        merge_wall = min(merge_wall, time.perf_counter() - t0)
+    merge = SparseTfIdf(corpus)
+    probe_numpy = tfidf_sparse._probe_numpy
+    tfidf_sparse._probe_numpy = lambda: None  # route to the postings merge
+    try:
+        merge_table = merge.all_pairs(group_of=group_of)  # warm the lazy pack
+        merge_wall = float("inf")
+        for _ in range(2):
+            t0 = time.perf_counter()
+            merge.all_pairs(group_of=group_of)
+            merge_wall = min(merge_wall, time.perf_counter() - t0)
+    finally:
+        tfidf_sparse._probe_numpy = probe_numpy
 
     result = {
         "allpairs_docs": len(corpus),
         "allpairs_pairs": len(merge_table),
         "allpairs_merge_wall_s": round(merge_wall, 4),
     }
-    csr = SparseTfIdf(corpus, all_pairs_backend="csr")
-    try:
-        csr_table = csr.all_pairs(group_of=group_of)
-    except ImportError:
+    if probe_numpy() is None:
         print("note: numpy not importable; all-pairs CSR gate skipped")
         return result
+    csr = SparseTfIdf(corpus)
+    csr_table = csr.all_pairs(group_of=group_of)
     csr_wall = float("inf")
     for _ in range(2):
         t0 = time.perf_counter()
@@ -1502,9 +1473,7 @@ def _nway_parallel_microbench():
 
 
 def _serving_microbench(source, target):
-    """Two serving gates (see the module docstring).
-
-    **Overhead** — the same single-session sequential workload — match on
+    """The serving overhead gate (see the module docstring): the same single-session sequential workload — match on
     a warm engine, write the matrix back in a transaction, run the
     ``strong_cells`` canned query, update one cell — once as direct
     ``WorkbenchManager`` + ``HarmonyEngine`` calls and once through the
@@ -1512,13 +1481,6 @@ def _serving_microbench(source, target):
     time).  The direct arm mirrors the server handler exactly (existing
     matrix re-fetched from the blackboard each round), so the ratio
     isolates the queue hop, session lock, and future plumbing.
-
-    **Throughput** — ``SERVING_LOAD_SESSIONS`` sessions each firing
-    ``SERVING_LOAD_MATCHES`` matches, submitted all at once: the
-    single-worker thread server vs 4 process-executor workers.  The
-    matrices must be bit-identical; given >=2 CPUs the process pool must
-    reach ``SERVING_MIN_PARALLEL_SPEEDUP`` times the aggregate
-    throughput.
     """
     from repro.serving import ServingConfig, WorkbenchServer
     from repro.workbench import WorkbenchManager
@@ -1579,53 +1541,6 @@ def _serving_microbench(source, target):
         "serving_served_wall_s": round(served_wall, 4),
         "serving_overhead": round(served_wall / direct_wall, 3),
     }
-
-    # -- throughput arm ----------------------------------------------------
-    def serve_load(config):
-        kernels.clear_caches()
-        server = WorkbenchServer(config)
-        names = [f"s{i}" for i in range(SERVING_LOAD_SESSIONS)]
-        for name in names:
-            server.put_schema(name, source).result(60)
-            server.put_schema(name, target).result(60)
-        handles = []
-        t0 = time.perf_counter()
-        for _ in range(SERVING_LOAD_MATCHES):
-            for name in names:
-                handles.append(server.match(name, source.name, target.name))
-        matrices = [handle.result(300) for handle in handles]
-        wall = time.perf_counter() - t0
-        server.close()
-        cells = [
-            {(c.source_id, c.target_id): c.confidence
-             for c in matrix.cells()}
-            for matrix in matrices
-        ]
-        return wall, cells
-
-    serial_wall, serial_cells = serve_load(ServingConfig(workers=1))
-    jobs = SERVING_LOAD_SESSIONS * SERVING_LOAD_MATCHES
-    result.update({
-        "serving_load_jobs": jobs,
-        "serving_serial_wall_s": round(serial_wall, 4),
-        "serving_serial_rps": round(jobs / serial_wall, 1),
-    })
-    cpus = os.cpu_count() or 1
-    if cpus < 2:
-        print("note: single CPU; serving throughput gate skipped")
-        return result
-
-    pool_wall, pool_cells = serve_load(
-        ServingConfig(workers=4, executor="process"))
-    if pool_cells != serial_cells:
-        raise AssertionError(
-            "process-executor serving changed some matrix bits vs the "
-            "single-worker thread server")
-    result.update({
-        "serving_parallel_wall_s": round(pool_wall, 4),
-        "serving_parallel_rps": round(jobs / pool_wall, 1),
-        "serving_parallel_speedup": round(serial_wall / pool_wall, 2),
-    })
     return result
 
 
@@ -1777,20 +1692,11 @@ def main(argv) -> int:
         failures.append(
             f"warm rematch only {result['rematch_speedup']:.2f}x faster "
             f"than a cold match (required >= {REMATCH_MIN_SPEEDUP}x)")
-    if "sweep_speedup" in result and result["sweep_speedup"] < SWEEP_MIN_SPEEDUP:
-        failures.append(
-            f"numpy sweep only {result['sweep_speedup']:.2f}x faster "
-            f"than the python loop (required >= {SWEEP_MIN_SPEEDUP}x)")
     if ("sweep_c_speedup" in result
             and result["sweep_c_speedup"] < C_SWEEP_MIN_SPEEDUP):
         failures.append(
             f"C sweep only {result['sweep_c_speedup']:.2f}x faster than "
             f"the python loop (required >= {C_SWEEP_MIN_SPEEDUP}x)")
-    if ("sweep_c_vs_numpy" in result
-            and result["sweep_c_vs_numpy"] < C_SWEEP_MIN_VS_NUMPY):
-        failures.append(
-            f"C sweep only {result['sweep_c_vs_numpy']:.2f}x faster than "
-            f"the numpy sweep (required >= {C_SWEEP_MIN_VS_NUMPY}x)")
     if result["schema_serialize_speedup"] < SCHEMA_SERIALIZE_MIN_SPEEDUP:
         failures.append(
             f"delta schema serialization only "
@@ -1863,14 +1769,6 @@ def main(argv) -> int:
             f"serving layer cost {result['serving_overhead']:.3f}x the "
             f"direct WorkbenchManager calls on the sequential workload "
             f"(allowed <= {SERVING_MAX_OVERHEAD}x)")
-    if ("serving_parallel_speedup" in result
-            and result["serving_parallel_speedup"]
-            < SERVING_MIN_PARALLEL_SPEEDUP):
-        failures.append(
-            f"4 process-executor serving workers only "
-            f"{result['serving_parallel_speedup']:.2f}x the single-worker "
-            f"thread server's throughput "
-            f"(required >= {SERVING_MIN_PARALLEL_SPEEDUP}x)")
     if result["nway_pruned_speedup"] < NWAY_MIN_PRUNED_SPEEDUP:
         failures.append(
             f"hub-pruned N-way sweep only {result['nway_pruned_speedup']:.2f}x "

@@ -13,9 +13,10 @@ field name appears in backticks in that dataclass's doc set:
   `docs/performance.md`,
 
 so adding a flag without documenting it fails CI.  The reverse holds
-for the README's ``EngineConfig`` table (``TABLE_SETS``): its rows must
-be exactly the dataclass's fields, so a deleted flag's row fails CI
-instead of lingering.  Run directly::
+for the README's ``EngineConfig`` table and `docs/SERVING.md`'s
+``ServingConfig`` table (``TABLE_SETS``): their rows must be exactly the
+dataclass's fields, so a deleted flag's row fails CI instead of
+lingering.  Run directly::
 
     PYTHONPATH=src python scripts/check_doc_flags.py
 """
@@ -73,6 +74,11 @@ DOC_SETS = [
 #: must have one row per field, named in backticks in its first column
 TABLE_SETS = [
     (("repro.harmony.engine", "EngineConfig"), "README.md", "## Configuration"),
+    (
+        ("repro.serving.config", "ServingConfig"),
+        os.path.join("docs", "SERVING.md"),
+        "## Configuration reference",
+    ),
 ]
 
 

@@ -19,8 +19,7 @@ embeddings differ across runs and break every golden test.
 
 The accumulate/normalise inner loop is the hot path at registry scale
 (13k elements × dozens of features each), so it sits behind an
-:class:`EmbedBackend` seam mirroring ``repro.harmony.flooding``'s
-``SweepBackend``: ``"python"`` is the dependency-free reference,
+:class:`EmbedBackend` seam: ``"python"`` is the dependency-free reference,
 ``"numpy"`` batches every element into one ``np.bincount`` +
 row-normalise, and ``"auto"`` probes importlib once and falls back
 silently.  Because the signed counts are exact small integers in
@@ -259,7 +258,7 @@ class NumpyEmbedBackend(EmbedBackend):
 
 
 #: memoized backend singletons — ``auto`` probes importlib exactly once
-#: per process, mirroring ``resolve_sweep_backend``
+#: per process
 _RESOLVED: Dict[str, EmbedBackend] = {}
 
 

@@ -1,40 +1,26 @@
 /* _csweep: C-accelerated similarity-flooding sweeps.
  *
- * Third arm of the SweepBackend seam (repro/harmony/flooding.py).  The
- * two cores below replicate the pure-Python reference loops' arithmetic
- * exactly — same per-destination accumulation order (the classic core
- * regroups edges by destination with a *stable* sort, which preserves
- * it), same peak normalization, same max-abs-delta residual, same clamp
- * arithmetic — so the results are bit-identical on IEEE-754 doubles
- * (the build never enables -ffast-math; the differential suite in
- * tests/harmony/test_sweep_backends.py holds all backends to <=1e-12).
+ * The C kernel of repro/harmony/flooding.py (CSweepBackend), used
+ * whenever this extension is built.  The two cores below replicate the
+ * pure-Python reference loops' arithmetic exactly — same
+ * per-destination accumulation order (the classic core regroups edges
+ * by destination with a *stable* sort, which preserves it), same peak
+ * normalization, same max-abs-delta residual, same clamp arithmetic —
+ * so the results are bit-identical on IEEE-754 doubles (the build never
+ * enables -ffast-math; the differential suite in
+ * tests/harmony/test_sweep_backends.py holds both kernels to <=1e-12).
  *
- * The cores are plain C over raw pointers so the same source serves two
- * bindings:
- *
- *   - the CPython extension module `repro.harmony._csweep` (built by
- *     setup.py as an *optional* setuptools Extension), whose wrappers
- *     accept the `array('l')`/`array('d')` buffers CompiledPCG already
- *     holds, zero-copy via the buffer protocol;
- *   - a cffi out-of-line binding (flooding._cffi_csweep) that compiles
- *     this file with -DCSWEEP_NO_PYTHON, exposing just the cores —
- *     the fallback when the prebuilt extension is absent but a C
- *     compiler is available at runtime.
+ * setup.py builds this file as the *optional* setuptools Extension
+ * `repro.harmony._csweep`; its wrappers accept the
+ * `array('l')`/`array('d')` buffers CompiledPCG already holds,
+ * zero-copy via the buffer protocol.
  */
 
-#ifndef CSWEEP_NO_PYTHON
 #define PY_SSIZE_T_CLEAN
 #include <Python.h>
-#endif
 
 #include <stdlib.h>
 #include <string.h>
-
-#ifdef CSWEEP_NO_PYTHON
-#define CSWEEP_API
-#else
-#define CSWEEP_API static
-#endif
 
 /* Classic fixpoint: sigma+ = normalize(sigma0 + sigma + phi(sigma)).
  *
@@ -49,7 +35,7 @@
  * preserves the reference loop's per-destination accumulation order,
  * so the floating-point results stay bit-identical.
  */
-CSWEEP_API int csweep_classic(
+static int csweep_classic(
     long n_edges, const long *src, const long *dst, const double *wts,
     long n, long max_iterations, double epsilon, double *sigma)
 {
@@ -149,7 +135,7 @@ CSWEEP_API int csweep_classic(
  * pairs (user decisions) are never written.  Returns 0, or -1 on
  * allocation failure.
  */
-CSWEEP_API int csweep_directional(
+static int csweep_directional(
     long n, double *current,
     long n_up, const long *up_parents, const long *up_indptr,
     const long *up_children,
@@ -221,8 +207,6 @@ CSWEEP_API int csweep_directional(
     }
     return 0;
 }
-
-#ifndef CSWEEP_NO_PYTHON
 
 /* -- CPython wrappers ---------------------------------------------------- */
 
@@ -421,7 +405,7 @@ static PyMethodDef csweep_methods[] = {
 static struct PyModuleDef csweep_module = {
     PyModuleDef_HEAD_INIT,
     "repro.harmony._csweep",
-    "C-accelerated similarity-flooding sweeps (see flooding.SweepBackend).",
+    "C-accelerated similarity-flooding sweeps (see flooding.CSweepBackend).",
     -1,
     csweep_methods,
 };
@@ -431,5 +415,3 @@ PyInit__csweep(void)
 {
     return PyModule_Create(&csweep_module);
 }
-
-#endif /* CSWEEP_NO_PYTHON */

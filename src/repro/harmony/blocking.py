@@ -559,39 +559,19 @@ class CandidateBlocker:
         through the token inverted index (*index*, when given, must be a
         :class:`BlockingIndex`), ``"ann"`` through per-family embedding
         ANN indexes (*index* an :class:`EmbeddingBlockingIndex`).  With
-        a persistent index, cached state is served warm; without one,
-        state is built ad hoc — both paths retrieve identical pairs.
+        a persistent index, cached state is served warm; without one, a
+        throwaway index is built cold — both retrieve identical pairs.
         """
         if self.config.strategy == STRATEGY_ANN:
             return self._candidates_ann(context, index)
         config = self.config
         source_root = context.source.root.element_id
-
-        if index is not None:
-            self.ensure_index(context, index)
-            families = index.families
-            postings_by_family = index.postings
-            by_id = index.by_id
-            source_keys: Optional[Dict[str, List[str]]] = index.source_keys
-        else:
-            target_root = context.target.root.element_id
-            # index: family → key → target ids (postings in insertion order)
-            postings_by_family = {}
-            families = {}
-            for element in context.target:
-                if element.element_id == target_root or element.kind is ElementKind.KEY:
-                    continue
-                family = _family(element.kind)
-                families.setdefault(family, []).append(element)
-                postings = postings_by_family.setdefault(family, {})
-                for key in self.keys_for(context, context.target, element):
-                    postings.setdefault(key, []).append(element.element_id)
-            by_id = {
-                e.element_id: e
-                for members in families.values()
-                for e in members
-            }
-            source_keys = None
+        if index is None:
+            index = BlockingIndex()
+        self.ensure_index(context, index)
+        families = index.families
+        postings_by_family = index.postings
+        by_id = index.by_id
 
         pairs: List[Tuple[SchemaElement, SchemaElement]] = []
         total = 0
@@ -611,15 +591,9 @@ class CandidateBlocker:
             # nothing — skip them like stop words
             stop_df = max(config.budget, len(members) // 2)
             scores: Dict[str, float] = {}
-            # sorted so float accumulation order (and thus tie ranking)
-            # does not depend on the process hash seed
-            if source_keys is not None:
-                element_keys = source_keys[source_el.element_id]
-            else:
-                element_keys = sorted(
-                    self.keys_for(context, context.source, source_el)
-                )
-            for key in element_keys:
+            # sorted (by ensure_index) so float accumulation order, and
+            # thus tie ranking, does not depend on the process hash seed
+            for key in index.source_keys[source_el.element_id]:
                 matched = postings.get(key)
                 if matched and len(matched) <= stop_df:
                     # rarity weighting: a key shared by few targets is

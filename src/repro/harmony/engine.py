@@ -17,7 +17,6 @@ reweighting and bag-of-words word reweighting.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
@@ -40,9 +39,8 @@ from .flooding import (
     DirectionalConfig,
     FloodingConfig,
     FloodingState,
-    SweepBackend,
+    default_sweep_backend,
     directional_flooding_compiled,
-    resolve_sweep_backend,
 )
 from .learning import decisions_from_matrix, update_merger_weights, update_word_weights
 from .merger import MergeResult, VoteMerger
@@ -63,11 +61,14 @@ class EngineConfig:
 
     There is one match pipeline: memoized string kernels, the sparse
     TF-IDF cosine, compiled flooding fixpoints and a bulk matrix write.
-    The knobs left are behavioural (flooding mode, learning, candidate
-    blocking, context reuse) or pick a backend for the same arithmetic.
-    The defaults score the full cross-product and rebuild the context
-    every run; :meth:`fast` turns on blocking, context reuse and the
-    accelerated backends.
+    Where a stage has an accelerated kernel, what is installed picks it,
+    not a knob: the flooding sweeps run in C when the ``_csweep``
+    extension is built, and the documentation cosine uses NumPy when it
+    imports.  The knobs left are behavioural (flooding mode, learning,
+    candidate blocking, context reuse, the embedding voter) plus
+    ``embed_backend``.  The defaults score the full cross-product and
+    rebuild the context every run; :meth:`fast` turns on blocking and
+    context reuse.
     """
 
     flooding: str = FLOODING_DIRECTIONAL
@@ -82,10 +83,6 @@ class EngineConfig:
     #: blocking index persists next to the context and is patched, not
     #: rebuilt, after an evolution
     blocking: Optional[BlockingConfig] = None
-    #: voter-scoring threads; 1 (or 0) = serial.  Parallel runs chunk the
-    #: candidate pairs and merge results in chunk order, so the vote list
-    #: is bit-identical to the serial one.
-    parallelism: int = 1
     #: reuse the MatchContext (tokens, TF-IDF corpus, voter scores) across
     #: re-runs on the same two schemas — the Section 4.3 refinement loop
     #: stops rebuilding everything each round.  Reuse is keyed on schema
@@ -98,16 +95,6 @@ class EngineConfig:
     #: calls and ``MatcherTool`` rounds alike — instead of resetting, so
     #: with learning on this changes results from the third round on
     reuse_context: bool = False
-    #: which :class:`~repro.harmony.flooding.SweepBackend` runs the
-    #: flooding sweeps (classic and directional): ``"python"`` (the
-    #: gather/scatter loop, zero dependencies), ``"numpy"`` (vectorized
-    #: ``np.bincount`` sweeps over zero-copy views of the edge arrays —
-    #: requires the ``fast`` extra), ``"c"`` (the compiled ``_csweep``
-    #: extension — built by ``pip install .`` with a C compiler, or
-    #: runtime-compiled via cffi), or ``"auto"`` (probes c → numpy →
-    #: python, silently falling back).  Backends agree to ≤1e-12
-    #: (tests/harmony/test_sweep_backends.py)
-    sweep_backend: str = "python"
     #: add the dense hash-projection :class:`EmbeddingVoter` to the
     #: default voter panel (``repro.embed``: signed feature hashing over
     #: name tokens, subword n-grams and documentation terms, scored by
@@ -121,17 +108,19 @@ class EngineConfig:
     #: dependency-free reference), ``"numpy"`` (batched ``bincount``
     #: accumulation and matmul retrieval — requires the ``fast`` extra)
     #: or ``"auto"`` (probes numpy → python, silently falling back).
-    #: Backends agree to ≤1e-12 (tests/embed/)
+    #: Backends agree to ≤1e-12 (tests/embed/), but unlike the sweep and
+    #: cosine kernels this stays a knob: a float difference near zero
+    #: can flip an LSH band bit, so ANN blocking may retrieve different
+    #: candidates on the two backends
     embed_backend: str = "python"
 
     @classmethod
     def fast(cls, **overrides) -> "EngineConfig":
-        """Blocking, context reuse and the accelerated backends on (see
-        docs/performance.md)."""
+        """Blocking, context reuse and the accelerated embedding backend
+        on (see docs/performance.md)."""
         defaults = dict(
             blocking=BlockingConfig(),
             reuse_context=True,
-            sweep_backend="auto",
             # embedding math rides the accelerated backend when present;
             # the voter and ANN blocking stay opt-in until their recall
             # gates have run on the caller's corpus (perf_smoke gates
@@ -335,10 +324,6 @@ class HarmonyEngine:
         #: vectors plus per-family LSH indexes, epoch-keyed and patched
         #: like ``_blocking_index``
         self._embedding_index: Optional[EmbeddingBlockingIndex] = None
-        #: resolved sweep backend, memoized per selector so ``auto``
-        #: probes importlib once per engine, not once per run
-        self._sweep_backend: Optional[SweepBackend] = None
-        self._sweep_backend_selector: Optional[str] = None
         #: how many times :meth:`rematch` patched state instead of
         #: rebuilding (tests and perf_smoke assert on it)
         self.rematch_patches: int = 0
@@ -547,10 +532,8 @@ class HarmonyEngine:
         context: MatchContext,
         use_cache: bool = False,
     ) -> List[VoterScore]:
-        """Score candidate pairs with every voter, optionally in parallel.
+        """Score candidate pairs with every voter.
 
-        Parallel execution chunks the pair list and concatenates chunk
-        results in order, so the vote list is identical to a serial run.
         When *use_cache* is set (context reused across refinement rounds)
         previously computed scores are reused; entries from voters whose
         inputs changed (word-weight learning) are invalidated first.
@@ -568,29 +551,6 @@ class HarmonyEngine:
             context.corpus.revision,
         )
         cache = context.score_cache if self.config.reuse_context else None
-
-        workers = self.config.parallelism
-        if workers and workers > 1 and len(pairs) > 1:
-            chunk_size = (len(pairs) + workers - 1) // workers
-            chunks = [
-                pairs[i : i + chunk_size] for i in range(0, len(pairs), chunk_size)
-            ]
-            with ThreadPoolExecutor(max_workers=workers) as pool:
-                parts = list(
-                    pool.map(lambda c: self._score_chunk(c, context, cache), chunks)
-                )
-            votes: List[VoterScore] = []
-            for part in parts:
-                votes.extend(part)
-            return votes
-        return self._score_chunk(pairs, context, cache)
-
-    def _score_chunk(
-        self,
-        pairs: Sequence[CandidatePair],
-        context: MatchContext,
-        cache: Optional[Dict[Tuple[str, str, str], float]],
-    ) -> List[VoterScore]:
         votes: List[VoterScore] = []
         for source_el, target_el in pairs:
             for voter in self.voters:
@@ -650,7 +610,6 @@ class HarmonyEngine:
             return directional_flooding_compiled(
                 source, target, scores,
                 config=self.config.directional, pinned=pinned,
-                backend=self._resolve_backend(),
             )
         if mode == FLOODING_CLASSIC:
             positive = {pair: max(0.0, value) for pair, value in scores.items()}
@@ -658,7 +617,6 @@ class HarmonyEngine:
                 self._flooding_state = FloodingState()
             flooded = self._flooding_state.flood(
                 source, target, positive, config=self.config.classic,
-                backend=self._resolve_backend(),
             )
             blend = self.config.classic_blend
             out: Dict[Pair, float] = {}
@@ -671,14 +629,6 @@ class HarmonyEngine:
                 out[pair] = max(-0.99, min(0.99, mixed))
             return out
         raise ValueError(f"unknown flooding mode {mode!r}")
-
-    def _resolve_backend(self) -> SweepBackend:
-        """The configured :class:`SweepBackend`, memoized per selector."""
-        selector = self.config.sweep_backend
-        if self._sweep_backend is None or self._sweep_backend_selector != selector:
-            self._sweep_backend = resolve_sweep_backend(selector)
-            self._sweep_backend_selector = selector
-        return self._sweep_backend
 
     def voter_names(self) -> List[str]:
         return [voter.name for voter in self.voters]
@@ -700,7 +650,7 @@ class HarmonyEngine:
         stats: Dict[str, object] = {
             "context_builds": self.context_builds,
             "rematch_patches": self.rematch_patches,
-            "sweep_backend": self._resolve_backend().name,
+            "sweep_backend": default_sweep_backend().name,
             "flooding_compiles": flooding.compiles if flooding else 0,
             "flooding_patches": flooding.patches if flooding else 0,
             "flooding_hits": flooding.hits if flooding else 0,

@@ -25,24 +25,15 @@ Both algorithms run compiled, over flat index arrays:
 * :func:`directional_flooding_compiled` — Harmony's asymmetric up/down
   propagation over the containment hierarchy, on [-1,+1] confidences,
   over int-indexed parent/child arrays.
-* :class:`SweepBackend` and its three implementations — the sweep loops
-  themselves are pluggable (``EngineConfig.sweep_backend``).
-  :class:`PythonSweepBackend` is the pure-Python gather/scatter loop
-  (zero dependencies); :class:`NumpySweepBackend` consumes the same
-  ``array`` buffers zero-copy via ``np.frombuffer`` and runs each sweep
-  as one ``np.bincount`` scatter plus vectorized normalization and
-  residual.  ``bincount`` accumulates in edge order — the order the
-  arrays were flattened in — so the NumPy sweep reproduces the Python
-  backend's float arithmetic operation for operation (differentially
-  tested to 1e-12; bit-identical in practice).  :class:`CSweepBackend`
-  hands the same buffers to the compiled cores in ``_csweep.c`` (the
-  optional setuptools extension, or a runtime cffi build of the same
-  source) — plain C replicas of the Python loops, statement for
-  statement, so they too are bit-identical.
-  :func:`resolve_sweep_backend` maps the ``"auto" | "python" | "numpy" |
-  "c"`` selector to a backend, probing c → numpy → python on ``"auto"``
-  and degrading silently — the accelerators stay optional extras, never
-  hard dependencies.
+* :class:`PythonSweepBackend` and :class:`CSweepBackend` — the sweep
+  loops themselves.  The pure-Python gather/scatter loops are the
+  reference and the only kernel on a host without a C compiler;
+  :class:`CSweepBackend` hands the same ``array`` buffers to the
+  compiled cores in ``_csweep.c`` (the optional setuptools extension),
+  plain C replicas of the Python loops, statement for statement, so
+  they are bit-identical.  :func:`default_sweep_backend` picks the
+  kernel once per process from what is installed: C when the extension
+  imports, Python otherwise.
 
 The dict-keyed fixpoints both compiled forms replaced are kept as test
 oracles (``tests/oracles/flooding.py``): on the Python backend the
@@ -52,6 +43,7 @@ same order.
 
 from __future__ import annotations
 
+import functools
 from array import array
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Set, Tuple
@@ -156,7 +148,7 @@ class CompiledPCG:
 
     __slots__ = (
         "nodes", "node_index", "edge_src", "edge_dst", "edge_weight",
-        "out_by_label", "_edge_iter", "_buffers", "_np_edges",
+        "out_by_label", "_edge_iter", "_buffers",
     )
 
     def __init__(self, out_by_label: Dict[Pair, Dict[str, List[Pair]]]) -> None:
@@ -168,10 +160,6 @@ class CompiledPCG:
         self.edge_weight = array("d")
         self._edge_iter: Optional[List[Tuple[int, int, float]]] = None
         self._buffers: Optional[Tuple[List[float], ...]] = None
-        #: zero-copy NumPy views over the edge arrays, built on demand by
-        #: :class:`NumpySweepBackend` and dropped whenever the arrays are
-        #: reflattened
-        self._np_edges: Optional[Tuple] = None
         self._flatten()
 
     @property
@@ -209,7 +197,6 @@ class CompiledPCG:
         self.edge_weight = wts
         self._edge_iter = None
         self._buffers = None
-        self._np_edges = None
 
     def _edges(self) -> List[Tuple[int, int, float]]:
         edges = self._edge_iter
@@ -223,14 +210,15 @@ class CompiledPCG:
         self,
         initial: Mapping[Pair, float],
         config: Optional[FloodingConfig] = None,
-        backend: Optional["SweepBackend"] = None,
+        backend: Optional["PythonSweepBackend"] = None,
     ) -> Dict[Pair, float]:
         """The classic fixpoint as index-gather/scatter sweeps.
 
         σ⁺ = normalize(σ⁰ + σ + φ(σ)), iterated until the largest
         change drops below ``config.epsilon`` or ``max_iterations``
-        runs out.  *backend* selects which :class:`SweepBackend`
-        iterates the fixpoint over the edge arrays (default: Python).
+        runs out.  *backend* selects the kernel that iterates the
+        fixpoint over the edge arrays (default:
+        :func:`default_sweep_backend`).
         """
         config = config or FloodingConfig()
         index = self.node_index
@@ -253,7 +241,7 @@ class CompiledPCG:
             entries.append((i, value if value > 0.0 else 0.0))
 
         if backend is None:
-            backend = PYTHON_SWEEP_BACKEND
+            backend = default_sweep_backend()
         _note_sweep_run("classic", backend.name)
         sigma = backend.sweep_classic(self, entries, n, config)
 
@@ -263,25 +251,18 @@ class CompiledPCG:
         return result
 
 
-#: valid ``EngineConfig.sweep_backend`` / :func:`resolve_sweep_backend`
-#: selectors
-SWEEP_BACKENDS = ("auto", "python", "numpy", "c")
-
-#: concrete backend names, in ``"auto"``'s preference order
-_SWEEP_BACKEND_NAMES = ("c", "numpy", "python")
-
-#: process-wide per-backend sweep-run counters — which backend actually
+#: process-wide per-kernel sweep-run counters — which kernel actually
 #: executed each compiled fixpoint; surfaced via
 #: :meth:`HarmonyEngine.fastpath_stats` and asserted in perf_smoke.py
 _SWEEP_RUN_STATS: Dict[str, int] = {
     f"sweep_{kind}_runs_{name}": 0
     for kind in ("classic", "directional")
-    for name in _SWEEP_BACKEND_NAMES
+    for name in ("c", "python")
 }
 
 
 def sweep_run_stats() -> Dict[str, int]:
-    """A snapshot of the per-backend compiled-sweep run counters."""
+    """A snapshot of the per-kernel compiled-sweep run counters."""
     return dict(_SWEEP_RUN_STATS)
 
 
@@ -291,104 +272,28 @@ def reset_sweep_run_stats() -> None:
 
 
 def _note_sweep_run(kind: str, name: str) -> None:
-    key = f"sweep_{kind}_runs_{name}"
-    if key in _SWEEP_RUN_STATS:
-        _SWEEP_RUN_STATS[key] += 1
+    _SWEEP_RUN_STATS[f"sweep_{kind}_runs_{name}"] += 1
 
 
-class SweepBackend:
-    """Strategy seam for the compiled flooding fixpoints.
+class PythonSweepBackend:
+    """The pure-Python sweep kernels of both compiled fixpoints — the
+    reference :class:`CSweepBackend` is held to.
 
     :meth:`sweep_classic` receives the compiled PCG, the dense
     ``(index, value)`` initial-score entries, the total node count
-    (structural + extra interned pairs) and the :class:`FloodingConfig`;
-    it returns the final σ vector indexable by node id.  Backends must
-    preserve the reference recurrence σ⁺ = normalize(σ⁰ + σ + φ(σ)),
-    the max-normalization and the max-abs-delta residual.
+    (structural + extra interned pairs) and the :class:`FloodingConfig`,
+    and returns the final σ vector indexable by node id: the recurrence
+    σ⁺ = normalize(σ⁰ + σ + φ(σ)) with max-normalization and a
+    max-abs-delta residual.  It reuses ``CompiledPCG``'s preallocated
+    score buffers across runs and accumulates in flattened edge order,
+    so on a cold compile it is bit-identical to the dict-keyed oracle
+    fixpoint.
 
     :meth:`sweep_directional` receives the flattened directional
     structure built by :func:`directional_flooding_compiled` — the
     ``array('d')`` score vector, parent ids with a CSR-style
     indptr/children pair, the (child, parent) down-sweep arrays and a
-    pinned byte mask — and returns the final score vector.  The base
-    implementation here is the pure-Python reference loop; accelerated
-    backends may override it.
-
-    The differential suite in ``tests/harmony/test_sweep_backends.py``
-    holds every backend to ≤1e-12 agreement on both fixpoints.
-    """
-
-    name = "abstract"
-
-    def sweep_classic(
-        self,
-        compiled: CompiledPCG,
-        entries: List[Tuple[int, float]],
-        n: int,
-        config: FloodingConfig,
-    ) -> Sequence[float]:
-        raise NotImplementedError
-
-    #: backwards-compatible alias (the seam predates the directional port)
-    def sweep(
-        self,
-        compiled: CompiledPCG,
-        entries: List[Tuple[int, float]],
-        n: int,
-        config: FloodingConfig,
-    ) -> Sequence[float]:
-        return self.sweep_classic(compiled, entries, n, config)
-
-    def sweep_directional(
-        self,
-        current: array,
-        up_parents: array,
-        up_indptr: array,
-        up_children: array,
-        down_child: array,
-        down_parent: array,
-        pinned: bytearray,
-        config: "DirectionalConfig",
-    ) -> Sequence[float]:
-        up_rate = config.up_rate
-        down_rate = config.down_rate
-        n_up = len(up_parents)
-        n_down = len(down_child)
-        for _ in range(config.iterations):
-            updated = array("d", current)
-            for slot in range(n_up):
-                j = up_parents[slot]
-                if pinned[j]:
-                    continue
-                total = 0.0
-                count = 0
-                for k in range(up_indptr[slot], up_indptr[slot + 1]):
-                    value = current[up_children[k]]
-                    if value > 0.0:
-                        total += value
-                        count += 1
-                if count:
-                    boost = up_rate * (total / count)
-                    updated[j] = clamp_confidence(min(0.99, current[j] + boost))
-            for e in range(n_down):
-                child = down_child[e]
-                if pinned[child]:
-                    continue
-                parent_score = current[down_parent[e]]
-                if parent_score < 0.0:
-                    updated[child] = clamp_confidence(
-                        max(-0.99, updated[child] + down_rate * parent_score)
-                    )
-            current = updated
-        return current
-
-
-class PythonSweepBackend(SweepBackend):
-    """The pure-Python gather/scatter loop.
-
-    Reuses ``CompiledPCG``'s preallocated score buffers across runs and
-    accumulates in flattened edge order, so on a cold compile it is
-    bit-identical to the dict-keyed oracle fixpoint.
+    pinned byte mask — and returns the final score vector.
     """
 
     name = "python"
@@ -451,233 +356,78 @@ class PythonSweepBackend(SweepBackend):
         compiled._buffers = (sigma0, sigma, incoming, updated)
         return sigma
 
-
-def _probe_numpy():
-    """Import numpy if available, else ``None`` (never raises)."""
-    try:
-        import numpy
-    except Exception:
-        return None
-    return numpy
-
-
-class NumpySweepBackend(SweepBackend):
-    """Vectorized sweeps over zero-copy views of the edge arrays.
-
-    ``np.frombuffer`` wraps ``CompiledPCG``'s ``array('l')``/``array('d')``
-    buffers without copying (views are cached on the compiled PCG and
-    dropped whenever it reflattens); each sweep is one
-    ``np.bincount(dst, weights=sigma[src] * w)`` scatter — which
-    accumulates in input (edge) order, matching the Python loop's
-    float-accumulation order — plus vectorized normalization and
-    max-abs-delta residual.
-    """
-
-    name = "numpy"
-
-    def __init__(self, module=None) -> None:
-        self._np = module if module is not None else _probe_numpy()
-        if self._np is None:
-            raise ImportError(
-                "sweep_backend='numpy' requires NumPy, which is not "
-                "importable; install it with `pip install .[fast]` (or "
-                "`pip install numpy`), or use sweep_backend='auto' to fall "
-                "back to the pure-python sweep silently"
-            )
-
-    def _edge_views(self, compiled: CompiledPCG):
-        np = self._np
-        views = compiled._np_edges
-        if views is None:
-            src = np.frombuffer(
-                compiled.edge_src, dtype=np.dtype(f"i{compiled.edge_src.itemsize}")
-            )
-            dst = np.frombuffer(
-                compiled.edge_dst, dtype=np.dtype(f"i{compiled.edge_dst.itemsize}")
-            )
-            wts = np.frombuffer(compiled.edge_weight, dtype=np.float64)
-            views = compiled._np_edges = (src, dst, wts)
-        return views
-
-    def sweep_classic(
+    def sweep_directional(
         self,
-        compiled: CompiledPCG,
-        entries: List[Tuple[int, float]],
-        n: int,
-        config: FloodingConfig,
+        current: array,
+        up_parents: array,
+        up_indptr: array,
+        up_children: array,
+        down_child: array,
+        down_parent: array,
+        pinned: bytearray,
+        config: "DirectionalConfig",
     ) -> Sequence[float]:
-        np = self._np
-        if n == 0:
-            return []
-        if compiled.edge_count:
-            src, dst, wts = self._edge_views(compiled)
-        else:
-            src = dst = wts = None
-        sigma0 = np.zeros(n)
-        for i, value in entries:
-            sigma0[i] = value
-        sigma = sigma0.copy()
-        epsilon = config.epsilon
-        for _ in range(config.max_iterations):
-            if src is not None:
-                incoming = np.bincount(dst, weights=sigma[src] * wts, minlength=n)
-            else:
-                incoming = np.zeros(n)
-            updated = sigma0 + sigma + incoming
-            peak = updated.max()
-            if peak > 0.0:
-                updated /= peak
-            residual = np.abs(updated - sigma).max()
-            sigma = updated
-            if residual < epsilon:
-                break
-        return sigma.tolist()
+        up_rate = config.up_rate
+        down_rate = config.down_rate
+        n_up = len(up_parents)
+        n_down = len(down_child)
+        for _ in range(config.iterations):
+            updated = array("d", current)
+            for slot in range(n_up):
+                j = up_parents[slot]
+                if pinned[j]:
+                    continue
+                total = 0.0
+                count = 0
+                for k in range(up_indptr[slot], up_indptr[slot + 1]):
+                    value = current[up_children[k]]
+                    if value > 0.0:
+                        total += value
+                        count += 1
+                if count:
+                    boost = up_rate * (total / count)
+                    updated[j] = clamp_confidence(min(0.99, current[j] + boost))
+            for e in range(n_down):
+                child = down_child[e]
+                if pinned[child]:
+                    continue
+                parent_score = current[down_parent[e]]
+                if parent_score < 0.0:
+                    updated[child] = clamp_confidence(
+                        max(-0.99, updated[child] + down_rate * parent_score)
+                    )
+            current = updated
+        return current
 
 
 def _probe_csweep():
-    """Import the compiled ``_csweep`` extension if built, else ``None``
-    (never raises)."""
+    """Import the compiled ``_csweep`` extension if built, else ``None``."""
     try:
         from . import _csweep
-    except Exception:
+    except ImportError:
         return None
     return _csweep
 
 
-#: memoized result of the one-time cffi build attempt — compiling is far
-#: too expensive to retry per resolve call
-_CFFI_CSWEEP = None
-_CFFI_CSWEEP_PROBED = False
-
-
-class _CffiSweepModule:
-    """Adapter giving a cffi build of ``_csweep.c`` the same two-function
-    surface as the compiled CPython extension."""
-
-    def __init__(self, ffi, lib) -> None:
-        self._ffi = ffi
-        self._lib = lib
-
-    def sweep_classic(self, src, dst, wts, sigma, max_iterations, epsilon):
-        ffi = self._ffi
-        status = self._lib.csweep_classic(
-            len(src),
-            ffi.from_buffer("long[]", src),
-            ffi.from_buffer("long[]", dst),
-            ffi.from_buffer("double[]", wts),
-            len(sigma),
-            max_iterations,
-            epsilon,
-            ffi.from_buffer("double[]", sigma, require_writable=True),
-        )
-        if status != 0:
-            raise MemoryError("csweep_classic allocation failed")
-
-    def sweep_directional(
-        self, current, up_parents, up_indptr, up_children,
-        down_child, down_parent, pinned, up_rate, down_rate, iterations,
-    ):
-        ffi = self._ffi
-        status = self._lib.csweep_directional(
-            len(current),
-            ffi.from_buffer("double[]", current, require_writable=True),
-            len(up_parents),
-            ffi.from_buffer("long[]", up_parents),
-            ffi.from_buffer("long[]", up_indptr),
-            ffi.from_buffer("long[]", up_children),
-            len(down_child),
-            ffi.from_buffer("long[]", down_child),
-            ffi.from_buffer("long[]", down_parent),
-            ffi.from_buffer("unsigned char[]", pinned),
-            up_rate,
-            down_rate,
-            iterations,
-        )
-        if status != 0:
-            raise MemoryError("csweep_directional allocation failed")
-
-
-def _cffi_csweep():
-    """Compile the ``_csweep.c`` cores with cffi at runtime.
-
-    The fallback when the prebuilt extension is absent but cffi and a C
-    compiler are available.  The build lands in a per-interpreter temp
-    directory and the (possibly failed) outcome is memoized for the
-    process.  Returns an adapter with the extension's two-function
-    surface, or ``None``; never raises.
-    """
-    global _CFFI_CSWEEP, _CFFI_CSWEEP_PROBED
-    if _CFFI_CSWEEP_PROBED:
-        return _CFFI_CSWEEP
-    _CFFI_CSWEEP_PROBED = True
-    try:
-        import importlib.util
-        import os
-        import sys
-        import tempfile
-
-        import cffi
-
-        here = os.path.dirname(os.path.abspath(__file__))
-        with open(os.path.join(here, "_csweep.c")) as handle:
-            source = handle.read()
-        ffi = cffi.FFI()
-        ffi.cdef(
-            """
-            int csweep_classic(long n_edges, const long *src, const long *dst,
-                               const double *wts, long n, long max_iterations,
-                               double epsilon, double *sigma);
-            int csweep_directional(long n, double *current, long n_up,
-                                   const long *up_parents,
-                                   const long *up_indptr,
-                                   const long *up_children, long n_down,
-                                   const long *down_child,
-                                   const long *down_parent,
-                                   const unsigned char *pinned,
-                                   double up_rate, double down_rate,
-                                   long iterations);
-            """
-        )
-        tag = "iw_csweep_cffi_py{}{}".format(*sys.version_info[:2])
-        ffi.set_source(tag, "#define CSWEEP_NO_PYTHON\n" + source)
-        tmpdir = os.path.join(tempfile.gettempdir(), tag)
-        os.makedirs(tmpdir, exist_ok=True)
-        lib_path = ffi.compile(tmpdir=tmpdir)
-        spec = importlib.util.spec_from_file_location(tag, lib_path)
-        module = importlib.util.module_from_spec(spec)
-        spec.loader.exec_module(module)
-        _CFFI_CSWEEP = _CffiSweepModule(module.ffi, module.lib)
-    except Exception:
-        _CFFI_CSWEEP = None
-    return _CFFI_CSWEEP
-
-
-class CSweepBackend(SweepBackend):
+class CSweepBackend(PythonSweepBackend):
     """Compiled-C sweeps over the same flat ``array`` buffers.
 
     Both fixpoints run in ``_csweep.c``'s cores — line-for-line replicas
-    of the pure-Python reference loops (same edge-order accumulation,
+    of the pure-Python loops (same edge-order accumulation,
     normalization, residual and clamp arithmetic, no ``-ffast-math``) —
-    so results are bit-identical, not merely within tolerance.  The
-    binding is either the prebuilt ``repro.harmony._csweep`` extension
-    or a runtime cffi compile of the same source file.
+    so results are bit-identical, not merely within tolerance.
     """
 
     name = "c"
 
-    def __init__(self, module=None) -> None:
-        if module is None:
-            module = _probe_csweep()
-            if module is None:
-                module = _cffi_csweep()
+    def __init__(self) -> None:
+        module = _probe_csweep()
         if module is None:
             raise ImportError(
-                "sweep_backend='c' requires the compiled _csweep extension, "
+                "the C sweep kernel requires the compiled _csweep extension, "
                 "which is not importable; build it with `python setup.py "
                 "build_ext --inplace` or `pip install .` (both need a C "
-                "compiler — alternatively `pip install .[fast]` provides "
-                "cffi for a runtime build), or use sweep_backend='auto' to "
-                "fall back silently"
+                "compiler)"
             )
         self._mod = module
 
@@ -718,39 +468,21 @@ class CSweepBackend(SweepBackend):
         return current
 
 
-#: process-wide singleton for the default backend — stateless, so safe
-#: to share across engines and threads
+#: the pure-Python kernels — stateless, so one instance serves every
+#: engine and thread
 PYTHON_SWEEP_BACKEND = PythonSweepBackend()
 
 
-def resolve_sweep_backend(selector: str = "python") -> SweepBackend:
-    """Map an ``EngineConfig.sweep_backend`` selector to a backend.
-
-    ``"python"`` returns the shared pure-Python backend.  ``"numpy"``
-    and ``"c"`` require their accelerator and raise an actionable
-    :class:`ImportError` naming the install remedy when it is missing.
-    ``"auto"`` probes c → numpy → python and silently falls back (the
-    package keeps zero hard dependencies): the C backend is preferred
-    when its prebuilt extension is importable, NumPy next, and the
-    pure-python loop always works.
-    """
-    if selector == "python":
-        return PYTHON_SWEEP_BACKEND
-    if selector == "numpy":
-        return NumpySweepBackend()
-    if selector == "c":
+@functools.lru_cache(maxsize=None)
+def default_sweep_backend() -> PythonSweepBackend:
+    """The sweep kernel this process runs, picked once from what is
+    installed: the compiled ``_csweep`` extension when it imports, the
+    pure-Python loops otherwise.  Both give the same bits
+    (``tests/harmony/test_sweep_backends.py``)."""
+    try:
         return CSweepBackend()
-    if selector == "auto":
-        csweep = _probe_csweep()
-        if csweep is not None:
-            return CSweepBackend(csweep)
-        module = _probe_numpy()
-        if module is not None:
-            return NumpySweepBackend(module)
+    except ImportError:
         return PYTHON_SWEEP_BACKEND
-    raise ValueError(
-        f"unknown sweep backend {selector!r}; expected one of {SWEEP_BACKENDS}"
-    )
 
 
 def compile_pcg(source: SchemaGraph, target: SchemaGraph) -> CompiledPCG:
@@ -913,7 +645,7 @@ class FloodingState:
         target: SchemaGraph,
         initial: Mapping[Pair, float],
         config: Optional[FloodingConfig] = None,
-        backend: Optional[SweepBackend] = None,
+        backend: Optional[PythonSweepBackend] = None,
     ) -> Dict[Pair, float]:
         """Melnik's classic fixpoint σ⁺ = normalize(σ⁰ + σ + φ(σ)) over
         the PCG of *source* × *target*, with the compiled structure
@@ -950,7 +682,7 @@ def directional_flooding_compiled(
     scores: Mapping[Pair, float],
     config: Optional[DirectionalConfig] = None,
     pinned: Optional[set] = None,
-    backend: Optional[SweepBackend] = None,
+    backend: Optional[PythonSweepBackend] = None,
 ) -> Dict[Pair, float]:
     """Harmony's structural adjustment on [-1, +1] confidences.
 
@@ -966,10 +698,9 @@ def directional_flooding_compiled(
     indptr/children pair (children in score order, so positive-child
     sums accumulate as the dict-keyed oracle's do), the (child, parent)
     down-sweep arrays, and a pinned byte mask — then *backend* (default:
-    the pure-python loop) iterates the propagation via
-    :meth:`SweepBackend.sweep_directional`.  Every backend's arithmetic
-    mirrors the oracle statement for statement, so scores are
-    bit-identical.
+    :func:`default_sweep_backend`) iterates the propagation via its
+    ``sweep_directional``.  Both kernels' arithmetic mirrors the oracle
+    statement for statement, so scores are bit-identical.
     """
     config = config or DirectionalConfig()
     pinned = pinned or set()
@@ -1026,7 +757,7 @@ def directional_flooding_compiled(
             pinned_mask[i] = 1
 
     if backend is None:
-        backend = PYTHON_SWEEP_BACKEND
+        backend = default_sweep_backend()
     _note_sweep_run("directional", backend.name)
     final = backend.sweep_directional(
         current, up_parents, up_indptr, up_children,

@@ -26,10 +26,8 @@ class DocumentationVoter(MatchVoter):
         postings sweep (``SparseTfIdf.all_pairs``) before per-pair
         scoring starts — ``score`` then only does table lookups, and
         pairs absent from the table have cosine exactly 0.0.  The sweep
-        itself routes through the corpus's ``all_pairs_backend`` seam: a
-        NumPy CSR matmul when NumPy is importable, the dependency-free
-        postings merge otherwise — same probe-once/auto-fallback
-        discipline as the flooding sweep's backend selector."""
+        itself is a NumPy CSR matmul when NumPy is importable, the
+        dependency-free postings merge otherwise."""
         context.warm_pair_sims()
 
     def applicable(self, source: SchemaElement, target: SchemaElement) -> bool:

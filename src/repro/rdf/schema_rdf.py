@@ -73,38 +73,13 @@ def cell_iri(matrix_name: str, source_id: str, target_id: str) -> IRI:
 def schema_to_rdf(graph: SchemaGraph, store: TripleStore) -> IRI:
     """Write a schema graph into the store; returns the schema's IRI.
 
-    The whole graph lands via one :meth:`TripleStore.add_many` bulk
-    mutation, so transaction logs and other batch listeners pay one
-    callback per schema load instead of one per triple.
+    The whole graph (:func:`schema_triples`) lands via one
+    :meth:`TripleStore.add_many` bulk mutation, so transaction logs and
+    other batch listeners pay one callback per schema load instead of
+    one per triple.
     """
-    s_iri = schema_iri(graph.name)
-    triples: List[Triple] = [
-        Triple(s_iri, V.RDF_TYPE, V.SCHEMA_CLASS),
-        Triple(s_iri, V.NAME, literal(graph.name)),
-    ]
-    element_iris: Dict[str, IRI] = {}
-    for element in graph:
-        e_iri = element_iri(graph.name, element.element_id)
-        element_iris[element.element_id] = e_iri
-        triples.append(Triple(s_iri, V.HAS_ELEMENT, e_iri))
-        triples.append(Triple(e_iri, V.RDF_TYPE, V.ELEMENT_CLASS))
-        triples.append(Triple(e_iri, V.NAME, literal(element.name)))
-        triples.append(Triple(e_iri, V.KIND, literal(element.kind.value)))
-        if element.datatype:
-            triples.append(Triple(e_iri, V.TYPE, literal(element.datatype)))
-        if element.documentation:
-            triples.append(Triple(e_iri, V.DOCUMENTATION, literal(element.documentation)))
-        for key, value in element.annotations.items():
-            if isinstance(value, (str, int, float, bool)):
-                triples.append(
-                    Triple(e_iri, IW_NS.term(f"annotation-{_quote(key)}"), literal(value))
-                )
-    triples.append(Triple(s_iri, V.HAS_ROOT, element_iris[graph.root.element_id]))
-    for edge in graph.edges:
-        predicate = V.EDGE_LABEL_TO_IRI.get(edge.label, IW_NS.term(_quote(edge.label)))
-        triples.append(Triple(element_iris[edge.subject], predicate, element_iris[edge.object]))
-    store.add_many(triples)
-    return s_iri
+    store.add_many(schema_triples(graph))
+    return schema_iri(graph.name)
 
 
 def _schema_slices(
@@ -114,7 +89,8 @@ def _schema_slices(
 
     The schema-side mirror of :func:`_matrix_slices`: the single source
     of truth for the schema→RDF shape that both :func:`schema_triples`
-    (which flattens it) and the delta branch of :func:`serialize_schema`
+    (which flattens it for :func:`schema_to_rdf` and the bulk branch of
+    :func:`serialize_schema`) and the delta branch of :func:`serialize_schema`
     (which diffs it against the store's index slices without
     materializing a :class:`Triple` per statement) build on.  Returns
     the nested slices plus the total statement count.
@@ -170,9 +146,8 @@ def _schema_slices(
 def schema_triples(graph: SchemaGraph) -> List[Triple]:
     """The canonical triple layout of a schema, as one list.
 
-    Flattens :func:`_schema_slices`, so it is content-identical (as a
-    set) to what :func:`schema_to_rdf` writes and to what the delta
-    serializer diffs.
+    Flattens :func:`_schema_slices`: what :func:`schema_to_rdf` writes,
+    and what the delta serializer diffs against.
     """
     slices, _total = _schema_slices(graph)
     triples: List[Triple] = []
@@ -263,10 +238,9 @@ def serialize_schema(
     """
     stats = _SERIALIZATION_STATS
     s_iri = schema_iri(graph.name)
+    exists = has_schema(store, graph.name)
     if not delta:
-        removed = 0
-        if V.SCHEMA_CLASS in store.objects(s_iri, V.RDF_TYPE):
-            removed = remove_schema(store, graph.name)
+        removed = remove_schema(store, graph.name) if exists else 0
         desired = schema_triples(graph)
         store.add_many(desired)
         stats["schema_bulk_serializations"] += 1
@@ -275,7 +249,6 @@ def serialize_schema(
         return s_iri
 
     desired_slices, total = _schema_slices(graph)
-    exists = V.SCHEMA_CLASS in store.objects(s_iri, V.RDF_TYPE)
     if previous is not None and previous.name != graph.name:
         previous = None
     subject_slice = store.subject_slice
@@ -486,6 +459,12 @@ def rdf_to_schema(
     if views is not None and view.canonical:
         views[schema_name] = view
     return graph
+
+
+def has_schema(store: TripleStore, schema_name: str) -> bool:
+    """Whether a schema of that name is stored, judged by its own
+    subject only — a malformed neighbour cannot make this raise."""
+    return V.SCHEMA_CLASS in store.object_set(schema_iri(schema_name), V.RDF_TYPE)
 
 
 def schemas_in_store(store: TripleStore) -> List[str]:

@@ -3,9 +3,8 @@
 The ROADMAP's "millions of users" axis made concrete: named sessions
 with isolated (optionally durable) blackboards, a bounded session-fair
 job queue with priorities, cancellation and reject-with-retry-after
-backpressure, and a worker pool whose match compute stays warm across
-jobs — per-session engines in thread mode, per-process engines (the
-PR-6 N-way pattern) in process mode.  Transport is pluggable: the
+backpressure, and worker threads whose match compute stays warm across
+jobs on one engine per session.  Transport is pluggable: the
 in-process :class:`WorkbenchClient` is the reference, and
 :mod:`repro.serving.tcp` wraps the same JSON gateway in length-prefixed
 frames.  See ``docs/SERVING.md``.

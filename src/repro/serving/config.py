@@ -26,13 +26,9 @@ class ServingConfig:
     enforces that coverage in CI.
     """
 
-    #: worker count — dispatcher threads, and (in process mode) the
-    #: process-pool size backing them
+    #: worker threads; each runs a job's compute on the session's warm
+    #: engine
     workers: int = 2
-    #: where match compute runs: ``"thread"`` (in the worker thread, on
-    #: a warm per-session engine) or ``"process"`` (a ProcessPoolExecutor
-    #: of warm per-process matchers, the PR-6 N-way pattern)
-    executor: str = "thread"
     #: bounded-queue capacity; a submit beyond it is rejected with
     #: ``retry_after_s`` instead of growing without bound
     queue_limit: int = 256
@@ -61,10 +57,6 @@ class ServingConfig:
     def __post_init__(self) -> None:
         if self.workers < 1:
             raise ToolError("ServingConfig.workers must be >= 1")
-        if self.executor not in ("thread", "process"):
-            raise ToolError(
-                f"ServingConfig.executor must be 'thread' or 'process', "
-                f"got {self.executor!r}")
         if self.queue_limit < 1:
             raise ToolError("ServingConfig.queue_limit must be >= 1")
         if self.retry_after_s < 0:

@@ -5,8 +5,7 @@ Request flow (traced in ``docs/ARCHITECTURE.md``)::
     client.submit() --> JobQueue (bounded, session-fair)
                           |
                     worker thread pops, session lock serializes the
-                    session, compute runs on the warm engine (thread
-                    mode) or a warm process-pool worker (process mode)
+                    session, compute runs on the session's warm engine
                           |
                     write-back: one transaction on the session's
                     blackboard + the §5.2.2 event, then the job's
@@ -22,7 +21,6 @@ from __future__ import annotations
 import itertools
 import threading
 import time
-from concurrent.futures import ProcessPoolExecutor
 from typing import Any, Callable, Dict, Optional
 
 from ..core.matrix import MappingMatrix
@@ -45,7 +43,6 @@ from .jobs import (
 )
 from .queue import JobQueue
 from .sessions import SessionRegistry, WorkbenchSession
-from .workers import init_serving_worker, match_in_worker
 
 #: the canned queries the "query" job kind dispatches to (all take the
 #: session's triple store as their first argument and return JSON-able
@@ -83,8 +80,6 @@ class WorkbenchServer:
         #: gateway-submitted jobs retained by id until fetched
         self._retained: Dict[str, Job] = {}
         self._retained_lock = threading.Lock()
-        self._pool: Optional[ProcessPoolExecutor] = None
-        self._pool_lock = threading.Lock()
         self._handlers: Dict[str, Callable[[WorkbenchSession, Job], Any]] = {
             "put_schema": self._do_put_schema,
             "load_schema": self._do_load_schema,
@@ -295,11 +290,7 @@ class WorkbenchServer:
         source, target, matrix: MappingMatrix,
     ) -> MappingMatrix:
         """Compute + write-back shared by match and evolve jobs."""
-        if self.config.executor == "process":
-            matrix = self._pool_executor().submit(
-                match_in_worker, source, target, matrix).result()
-        else:
-            session.engine().match(source, target, matrix=matrix)
+        session.engine().match(source, target, matrix=matrix)
         self._check_cancel(job)
         blackboard = session.manager.blackboard
         with session.manager.transaction():
@@ -392,16 +383,6 @@ class WorkbenchServer:
             time.sleep(min(0.005, max(0.0, deadline - time.monotonic())))
         return "pong"
 
-    def _pool_executor(self) -> ProcessPoolExecutor:
-        with self._pool_lock:
-            if self._pool is None:
-                self._pool = ProcessPoolExecutor(
-                    max_workers=self.config.workers,
-                    initializer=init_serving_worker,
-                    initargs=(self.config.resolved_engine_config(),),
-                )
-            return self._pool
-
     # -- observability --------------------------------------------------------
 
     def stats(self) -> Dict[str, Any]:
@@ -410,7 +391,6 @@ class WorkbenchServer:
         counters["pending"] = self.queue.pending()
         counters["sessions"] = self.sessions.names()
         counters["workers"] = self.config.workers
-        counters["executor"] = self.config.executor
         return counters
 
     # -- shutdown -------------------------------------------------------------
@@ -448,10 +428,6 @@ class WorkbenchServer:
             # drain budget exhausted: shed what is still queued; the
             # stuck in-flight job keeps its daemon thread
             self.queue.cancel_pending()
-        with self._pool_lock:
-            if self._pool is not None:
-                self._pool.shutdown(wait=False)
-                self._pool = None
         self.sessions.close_all()
 
     def __enter__(self) -> "WorkbenchServer":
@@ -463,6 +439,5 @@ class WorkbenchServer:
 
     def __repr__(self) -> str:
         return (f"WorkbenchServer(workers={self.config.workers}, "
-                f"executor={self.config.executor!r}, "
                 f"sessions={self.sessions.names()}, "
                 f"closed={self._closed})")

@@ -5,8 +5,8 @@ Each session owns a :class:`~repro.workbench.manager.WorkbenchManager`
 ``<durable_root>/<name>`` when the server is configured with one), a
 lock serializing that session's jobs (cross-session jobs run in
 parallel; within a session order is program order, which is what makes
-the concurrent-vs-serial differential bit-identical), and, in thread
-executor mode, the session's warm match engine.
+the concurrent-vs-serial differential bit-identical), and the session's
+warm match engine.
 """
 
 from __future__ import annotations
@@ -52,7 +52,7 @@ class WorkbenchSession:
         return self._closed
 
     def engine(self):
-        """The session's warm engine (thread executor mode), built lazily."""
+        """The session's warm engine, built lazily."""
         if self._engine is None:
             from ..harmony.engine import HarmonyEngine
 

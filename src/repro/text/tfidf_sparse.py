@@ -27,15 +27,15 @@ rebuild vocabulary + structure) and ``weights_revision`` (feedback moved
 a word weight → refresh weights and norms only, structure survives).
 
 :meth:`SparseTfIdf.all_pairs` — the documentation voter's one-sweep
-cross-partition scoring — additionally routes through an optional-NumPy
-seam mirroring the flooding ``SweepBackend`` pattern: when NumPy is
-importable (``all_pairs_backend="auto"``, the default), the per-document
-postings walk is replaced by a CSR-style sparse matmul — indptr/indices/
-data arrays assembled zero-copy from the interned term-id arrays, then
-multiplied per vocabulary chunk into the document-pair similarity
-matrix.  The sorted-merge path stays the dependency-free reference;
-agreement is differentially tested to ≤1e-12 (accumulation order
-differs, so CSR is near- but not bit-identical).
+cross-partition scoring — picks its kernel from what is installed, the
+way the flooding sweeps do: when NumPy is importable and the corpus fits
+the dense pair-matrix budget, the per-document postings walk is replaced
+by a CSR-style sparse matmul — indptr/indices/data arrays assembled
+zero-copy from the interned term-id arrays, then multiplied per
+vocabulary chunk into the document-pair similarity matrix.  The
+sorted-merge path stays the dependency-free reference; agreement is
+differentially tested to ≤1e-12 (accumulation order differs, so CSR is
+near- but not bit-identical).
 
 The differential harness (``tests/text/test_tfidf_sparse_differential
 .py``) proves agreement with the reference ``TfIdfCorpus.cosine`` to
@@ -53,18 +53,14 @@ from typing import Callable, Dict, Hashable, Iterable, List, Optional, Tuple
 from .tfidf import CorpusSnapshot, TfIdfCorpus
 
 __all__ = [
-    "ALL_PAIRS_BACKENDS",
     "SparseTfIdf",
     "all_pairs_stats",
     "reset_all_pairs_stats",
     "sparse_from_snapshot",
 ]
 
-#: valid ``SparseTfIdf(all_pairs_backend=...)`` selectors
-ALL_PAIRS_BACKENDS = ("auto", "merge", "csr")
-
 #: past this many document-pair cells the CSR path would allocate
-#: oversized dense similarity/co-occurrence matrices; ``"auto"`` falls
+#: oversized dense similarity/co-occurrence matrices; ``all_pairs`` falls
 #: back to the sorted merge instead (recorded in the stats below — no
 #: silent cap)
 _CSR_DENSE_CELL_LIMIT = 4_000_000
@@ -126,16 +122,8 @@ class SparseTfIdf:
     layer (structure or weights) that went stale.
     """
 
-    def __init__(
-        self, corpus: TfIdfCorpus, all_pairs_backend: str = "auto"
-    ) -> None:
-        if all_pairs_backend not in ALL_PAIRS_BACKENDS:
-            raise ValueError(
-                f"unknown all_pairs backend {all_pairs_backend!r}; "
-                f"expected one of {ALL_PAIRS_BACKENDS}"
-            )
+    def __init__(self, corpus: TfIdfCorpus) -> None:
         self.corpus = corpus
-        self._all_pairs_backend = all_pairs_backend
         self._structure_rev: Optional[int] = None
         self._weights_rev: Optional[int] = None
         #: corpus-level vocabulary: term → interned integer id
@@ -331,13 +319,9 @@ class SparseTfIdf:
         passes the source/target partition so same-schema pairs are
         never touched.
 
-        Routing follows the instance's ``all_pairs_backend``:
-        ``"merge"`` always runs the postings sorted-merge reference;
-        ``"csr"`` demands the NumPy CSR matmul (raising
-        :class:`ImportError` with the install remedy when NumPy is
-        absent); ``"auto"`` (default) picks CSR when NumPy is importable
-        and the corpus fits the dense pair-matrix budget, silently the
-        merge otherwise.  Both implementations agree to ≤1e-12.
+        Runs the NumPy CSR matmul when NumPy is importable and the
+        corpus fits the dense pair-matrix budget, the postings
+        sorted-merge reference otherwise.  Both agree to ≤1e-12.
         """
         self._ensure_current()
         groups = (
@@ -345,24 +329,13 @@ class SparseTfIdf:
             if group_of is not None
             else None
         )
-        selector = self._all_pairs_backend
-        if selector != "merge":
-            np = _probe_numpy()
-            if np is None:
-                if selector == "csr":
-                    raise ImportError(
-                        "all_pairs_backend='csr' requires NumPy, which is "
-                        "not importable; install it with `pip install "
-                        ".[fast]` (or `pip install numpy`), or use "
-                        "all_pairs_backend='auto' to fall back to the "
-                        "sorted-merge sweep silently"
-                    )
-            else:
-                n = len(self._doc_ids)
-                if selector == "csr" or n * n <= _CSR_DENSE_CELL_LIMIT:
-                    _ALL_PAIRS_STATS["allpairs_csr_sweeps"] += 1
-                    return self._all_pairs_csr(np, min_sim, groups)
-                _ALL_PAIRS_STATS["allpairs_csr_oversize_fallbacks"] += 1
+        np = _probe_numpy()
+        if np is not None:
+            n = len(self._doc_ids)
+            if n * n <= _CSR_DENSE_CELL_LIMIT:
+                _ALL_PAIRS_STATS["allpairs_csr_sweeps"] += 1
+                return self._all_pairs_csr(np, min_sim, groups)
+            _ALL_PAIRS_STATS["allpairs_csr_oversize_fallbacks"] += 1
         _ALL_PAIRS_STATS["allpairs_merge_sweeps"] += 1
         return self._all_pairs_merge(min_sim, groups)
 

@@ -146,22 +146,21 @@ class IntegrationBlackboard:
         delta: bool = False,
         previous: Optional[SchemaGraph] = None,
     ) -> IRI:
-        """Write (or replace) a schema graph.
+        """Write (or replace) a schema graph through
+        :func:`~repro.rdf.schema_rdf.serialize_schema`.
 
-        With ``delta=True`` the write goes through
-        :func:`~repro.rdf.schema_rdf.serialize_schema`'s diffing path:
-        only statements that actually changed relative to the stored
-        version are touched, and passing *previous* (the stored
-        version, as ``evolve_and_rematch`` does) narrows the diff to
-        the changed elements — O(delta) instead of O(schema).
+        Without ``delta`` a stored schema of the same name is removed
+        and the graph lands in one bulk write.  With ``delta=True`` only
+        statements that actually changed relative to the stored version
+        are touched, and passing *previous* (the stored version, as
+        ``evolve_and_rematch`` does) narrows the diff to the changed
+        elements — O(delta) instead of O(schema).  Either way only this
+        schema's own triples are consulted, so another schema's
+        malformed triples cannot fail the write.
         """
-        if delta:
-            return schema_rdf.serialize_schema(
-                graph, self.store, delta=True, previous=previous
-            )
-        if graph.name in self.schema_names():
-            self.remove_schema(graph.name)
-        return schema_rdf.schema_to_rdf(graph, self.store)
+        return schema_rdf.serialize_schema(
+            graph, self.store, delta=delta, previous=previous
+        )
 
     def get_schema(self, name: str) -> SchemaGraph:
         """The stored schema graph, as a new object.
@@ -182,7 +181,7 @@ class IntegrationBlackboard:
         return graph
 
     def has_schema(self, name: str) -> bool:
-        return name in self.schema_names()
+        return schema_rdf.has_schema(self.store, name)
 
     def schema_names(self) -> List[str]:
         return schema_rdf.schemas_in_store(self.store)

@@ -1,4 +1,4 @@
-"""Tests for the fast match path: blocking, caching, parallelism."""
+"""Tests for the fast match path: blocking and caching."""
 
 import copy
 
@@ -25,6 +25,7 @@ from repro.harmony import (
     graph_delta,
 )
 from repro.workbench import IntegrationBlackboard, MatcherTool, WorkbenchManager
+from tests.oracles import blocking_candidates
 
 
 def _pair_ids(pairs):
@@ -78,27 +79,6 @@ class TestBlocking:
             context = MatchContext(scenario.source, scenario.target)
             runs.append(CandidateBlocker().candidates(context).pairs)
         assert _pair_ids(runs[0]) == _pair_ids(runs[1])
-
-
-class TestParallelVoters:
-    def test_parallel_votes_identical_to_serial(self, orders_graph, notice_graph):
-        serial = HarmonyEngine(config=EngineConfig(parallelism=1)).match(
-            orders_graph, notice_graph)
-        parallel = HarmonyEngine(config=EngineConfig(parallelism=4)).match(
-            orders_graph, notice_graph)
-        assert serial.votes == parallel.votes
-
-    def test_parallel_matrix_identical_to_serial(self):
-        scenario = standard_suite(seeds=(7,))[0]
-        serial = HarmonyEngine(config=EngineConfig(parallelism=1)).match(
-            scenario.source, scenario.target)
-        parallel = HarmonyEngine(config=EngineConfig(parallelism=4)).match(
-            scenario.source, scenario.target)
-        serial_cells = {(c.source_id, c.target_id): c.confidence
-                        for c in serial.matrix.cells()}
-        parallel_cells = {(c.source_id, c.target_id): c.confidence
-                          for c in parallel.matrix.cells()}
-        assert serial_cells == parallel_cells
 
 
 class TestFastEquivalence:
@@ -274,12 +254,12 @@ def air_traffic():
 
 class TestBlockingIndex:
     def test_index_backed_retrieval_identical(self, orders_graph, notice_graph):
-        """Cold index-backed retrieval == ad-hoc retrieval, order included."""
+        """Cold index-backed retrieval == the ad-hoc oracle, order included."""
         blocker = CandidateBlocker(BlockingConfig())
         context = MatchContext(orders_graph, notice_graph)
         index = BlockingIndex()
         indexed = blocker.candidates(context, index)
-        adhoc = blocker.candidates(context)
+        adhoc = blocking_candidates(blocker, context)
         assert _ordered_pairs(indexed) == _ordered_pairs(adhoc)
         assert indexed.total_pairs == adhoc.total_pairs
         assert index.builds == 1 and index.patches == 0
@@ -307,7 +287,7 @@ class TestBlockingIndex:
 
         evolved_context = MatchContext(evolved, notice_graph)
         warm = blocker.candidates(evolved_context, index)
-        cold = blocker.candidates(evolved_context)
+        cold = blocking_candidates(blocker, evolved_context)
         assert _ordered_pairs(warm) == _ordered_pairs(cold)
         assert index.builds == 1 and index.patches == 1
 
@@ -323,7 +303,7 @@ class TestBlockingIndex:
 
         evolved_context = MatchContext(orders_graph, evolved)
         warm = blocker.candidates(evolved_context, index)
-        cold = blocker.candidates(evolved_context)
+        cold = blocking_candidates(blocker, evolved_context)
         assert _ordered_pairs(warm) == _ordered_pairs(cold)
         assert index.patches == 1
 
@@ -336,7 +316,7 @@ class TestBlockingIndex:
         evolved = _evolve(orders_graph)
         evolved_context = MatchContext(evolved, notice_graph)
         warm = blocker.candidates(evolved_context, index)
-        cold = blocker.candidates(evolved_context)
+        cold = blocking_candidates(blocker, evolved_context)
         assert _ordered_pairs(warm) == _ordered_pairs(cold)
         assert index.builds == 2 and index.patches == 0
 
@@ -357,7 +337,7 @@ class TestBlockingIndex:
         index.note_evolution(closure | delta.removed, set())
         context = MatchContext(v2, target)
         warm = blocker.candidates(context, index)
-        cold = blocker.candidates(context)
+        cold = blocking_candidates(blocker, context)
         assert _ordered_pairs(warm) == _ordered_pairs(cold)
         assert index.builds == 1 and index.patches == 1 and index.hits == 0
 
@@ -378,7 +358,7 @@ class TestBlockingIndex:
         result = reconfigured.candidates(context, index)
         assert index.builds == 2  # ngram feeds the keys: full rebuild
         assert _ordered_pairs(result) == _ordered_pairs(
-            reconfigured.candidates(context)
+            blocking_candidates(reconfigured, context)
         )
 
     def test_budget_change_reuses_index(self, orders_graph, notice_graph):
@@ -389,7 +369,8 @@ class TestBlockingIndex:
         wider = CandidateBlocker(BlockingConfig(budget=20))
         result = wider.candidates(context, index)
         assert index.builds == 1 and index.hits == 1
-        assert _ordered_pairs(result) == _ordered_pairs(wider.candidates(context))
+        assert _ordered_pairs(result) == _ordered_pairs(
+            blocking_candidates(wider, context))
 
     def test_engine_patches_blocking_on_rematch(self, orders_graph, notice_graph):
         engine = HarmonyEngine(config=EngineConfig.fast())

@@ -1,21 +1,20 @@
-"""Differential harness: pluggable sweep backends for compiled flooding.
+"""Differential harness: the two sweep kernels of compiled flooding.
 
-``CompiledPCG.run`` delegates its inner fixpoint to a
-:class:`SweepBackend`.  The Python backend is bit-identical to the
+``CompiledPCG.run`` and ``directional_flooding_compiled`` delegate their
+inner fixpoint to a kernel.  The Python kernel is bit-identical to the
 ``classic_flooding`` oracle (``tests/oracles``) on a cold compile — that
-is already pinned by ``test_flooding_compiled_differential``; the NumPy
-backend re-expresses each sweep as a ``np.bincount`` scatter over
-zero-copy ``np.frombuffer`` views of the same edge arrays; the C backend
-(``repro.harmony._csweep``, or a cffi runtime build of the same source)
-runs the Python loop statement-for-statement over the flat buffers.
-All accumulate in edge order, so the backends perform the same float
-additions in the same sequence — this file holds them to ``TOLERANCE``
-(they are bit-identical in practice), covers the directional sweep the
-same way, and proves the ``auto`` selector prefers c → numpy → python
-and degrades silently when accelerators cannot be imported.
+is already pinned by ``test_flooding_compiled_differential``; the C
+kernel (``repro.harmony._csweep``) runs the Python loop
+statement-for-statement over the flat buffers.  Both accumulate in edge
+order, so they perform the same float additions in the same sequence —
+this file holds them to ``TOLERANCE`` (they are bit-identical in
+practice), covers the directional sweep the same way, and proves the
+process picks C when the extension is built and degrades to Python
+silently when it is not.
 """
 
 import random
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -25,16 +24,14 @@ from repro.core import ElementKind, SchemaElement, SchemaGraph
 from repro.harmony import EngineConfig, HarmonyEngine
 from repro.harmony import flooding as flooding_mod
 from repro.harmony.flooding import (
-    SWEEP_BACKENDS,
+    PYTHON_SWEEP_BACKEND,
     CSweepBackend,
     DirectionalConfig,
     FloodingConfig,
-    NumpySweepBackend,
-    PythonSweepBackend,
     compile_pcg,
+    default_sweep_backend,
     directional_flooding_compiled,
     reset_sweep_run_stats,
-    resolve_sweep_backend,
     sweep_run_stats,
 )
 from tests.oracles import classic_flooding, directional_flooding
@@ -42,9 +39,6 @@ from tests.oracles import classic_flooding, directional_flooding
 TOLERANCE = 1e-12
 
 seeds = st.integers(min_value=0, max_value=10_000)
-
-HAS_NUMPY = flooding_mod._probe_numpy() is not None
-needs_numpy = pytest.mark.skipif(not HAS_NUMPY, reason="numpy not installed")
 
 HAS_CSWEEP = flooding_mod._probe_csweep() is not None
 needs_csweep = pytest.mark.skipif(
@@ -95,62 +89,36 @@ def _cells(matrix):
     }
 
 
-def _no_accelerators(monkeypatch):
-    monkeypatch.setattr(flooding_mod, "_probe_numpy", lambda: None)
+@pytest.fixture
+def no_extension(monkeypatch):
+    """The process as it runs where the ``_csweep`` extension is not
+    built: the kernel pick is redone with the probe failing."""
     monkeypatch.setattr(flooding_mod, "_probe_csweep", lambda: None)
+    default_sweep_backend.cache_clear()
+    yield
+    default_sweep_backend.cache_clear()
 
 
-# -- selector resolution ------------------------------------------------------
+# -- kernel selection ---------------------------------------------------------
 
 
 class TestBackendSelection:
-    def test_selector_vocabulary(self):
-        assert SWEEP_BACKENDS == ("auto", "python", "numpy", "c")
-
-    def test_python_selector_is_shared_singleton(self):
-        first = resolve_sweep_backend("python")
-        second = resolve_sweep_backend("python")
-        assert isinstance(first, PythonSweepBackend)
-        assert first is second
-        assert first.name == "python"
-
-    def test_unknown_selector_raises(self):
-        with pytest.raises(ValueError, match="unknown sweep backend"):
-            resolve_sweep_backend("cuda")
-
     @needs_csweep
-    def test_auto_prefers_c_when_available(self):
-        auto = resolve_sweep_backend("auto")
-        assert isinstance(auto, CSweepBackend)
-        assert auto.name == "c"
+    def test_default_is_c_when_built(self):
+        kernel = default_sweep_backend()
+        assert isinstance(kernel, CSweepBackend)
+        assert kernel.name == "c"
+        assert default_sweep_backend() is kernel
 
-    @needs_numpy
-    def test_numpy_and_auto_select_numpy_without_c(self, monkeypatch):
-        monkeypatch.setattr(flooding_mod, "_probe_csweep", lambda: None)
-        assert isinstance(resolve_sweep_backend("numpy"), NumpySweepBackend)
-        auto = resolve_sweep_backend("auto")
-        assert isinstance(auto, NumpySweepBackend)
-        assert auto.name == "numpy"
+    def test_auto_degrades_to_python_without_accelerators(self, no_extension):
+        assert default_sweep_backend() is PYTHON_SWEEP_BACKEND
 
-    def test_auto_degrades_to_python_without_accelerators(self, monkeypatch):
-        _no_accelerators(monkeypatch)
-        backend = resolve_sweep_backend("auto")
-        assert isinstance(backend, PythonSweepBackend)
-
-    def test_explicit_numpy_raises_actionably_without_numpy(self, monkeypatch):
-        monkeypatch.setattr(flooding_mod, "_probe_numpy", lambda: None)
-        with pytest.raises(ImportError, match=r"pip install \.\[fast\]"):
-            resolve_sweep_backend("numpy")
-
-    def test_explicit_c_raises_actionably_without_extension(self, monkeypatch):
-        monkeypatch.setattr(flooding_mod, "_probe_csweep", lambda: None)
-        monkeypatch.setattr(flooding_mod, "_cffi_csweep", lambda: None)
+    def test_explicit_c_raises_actionably_without_extension(self, no_extension):
         with pytest.raises(ImportError, match="build_ext"):
-            resolve_sweep_backend("c")
+            CSweepBackend()
 
-    def test_engine_auto_runs_without_accelerators(self, monkeypatch):
+    def test_engine_auto_runs_without_accelerators(self, no_extension):
         """The full fast preset must work on an accelerator-free install."""
-        _no_accelerators(monkeypatch)
         source, sids = _random_graph("s", 3)
         target, tids = _random_graph("t", 4)
         engine = HarmonyEngine(config=EngineConfig.fast(flooding="classic"))
@@ -158,18 +126,9 @@ class TestBackendSelection:
         assert run.matrix.cell_count() > 0
         assert engine.fastpath_stats()["sweep_backend"] == "python"
 
-    @needs_numpy
-    def test_engine_reports_numpy_backend(self):
-        engine = HarmonyEngine(
-            config=EngineConfig.fast(flooding="classic", sweep_backend="numpy")
-        )
-        assert engine.fastpath_stats()["sweep_backend"] == "numpy"
-
     @needs_csweep
     def test_engine_reports_c_backend(self):
-        engine = HarmonyEngine(
-            config=EngineConfig.fast(flooding="classic", sweep_backend="c")
-        )
+        engine = HarmonyEngine(config=EngineConfig.fast(flooding="classic"))
         assert engine.fastpath_stats()["sweep_backend"] == "c"
 
 
@@ -183,8 +142,8 @@ class TestSweepRunStats:
         initial = _random_initial(sids, tids, 13)
         compiled = compile_pcg(source, target)
         reset_sweep_run_stats()
-        compiled.run(initial, backend=resolve_sweep_backend("python"))
-        compiled.run(initial, backend=resolve_sweep_backend("python"))
+        compiled.run(initial, backend=PYTHON_SWEEP_BACKEND)
+        compiled.run(initial, backend=PYTHON_SWEEP_BACKEND)
         stats = sweep_run_stats()
         assert stats["sweep_classic_runs_python"] == 2
         assert stats["sweep_directional_runs_python"] == 0
@@ -196,104 +155,16 @@ class TestSweepRunStats:
         reset_sweep_run_stats()
         directional_flooding_compiled(source, target, scores)
         stats = sweep_run_stats()
-        assert stats["sweep_directional_runs_python"] == 1
-        assert stats["sweep_classic_runs_python"] == 0
+        name = default_sweep_backend().name
+        assert stats[f"sweep_directional_runs_{name}"] == 1
+        assert sum(stats.values()) == 1
 
     def test_stats_surface_in_engine_fastpath_stats(self):
         engine = HarmonyEngine(config=EngineConfig())
         stats = engine.fastpath_stats()
         for kind in ("classic", "directional"):
-            for name in ("python", "numpy", "c"):
+            for name in ("python", "c"):
                 assert f"sweep_{kind}_runs_{name}" in stats
-
-
-# -- numpy vs python vs reference --------------------------------------------
-
-
-@needs_numpy
-class TestNumpyDifferential:
-    @given(seeds, seeds, seeds)
-    @settings(max_examples=40, deadline=None)
-    def test_numpy_matches_python_and_reference(self, s1, s2, s3):
-        source, sids = _random_graph("s", s1)
-        target, tids = _random_graph("t", s2)
-        initial = _random_initial(sids, tids, s3)
-        reference = classic_flooding(source, target, initial)
-        compiled = compile_pcg(source, target)
-        python = compiled.run(initial, backend=resolve_sweep_backend("python"))
-        vectorized = compiled.run(initial, backend=resolve_sweep_backend("numpy"))
-        assert python == reference  # cold compiled stays bit-identical
-        assert vectorized.keys() == python.keys()
-        for pair, value in python.items():
-            assert abs(value - vectorized[pair]) <= TOLERANCE
-
-    @given(seeds, seeds, seeds, st.integers(min_value=1, max_value=8))
-    @settings(max_examples=20, deadline=None)
-    def test_custom_config_matches(self, s1, s2, s3, iterations):
-        source, sids = _random_graph("s", s1)
-        target, tids = _random_graph("t", s2)
-        initial = _random_initial(sids, tids, s3)
-        config = FloodingConfig(max_iterations=iterations, epsilon=0.0)
-        compiled = compile_pcg(source, target)
-        python = compiled.run(initial, config, backend=resolve_sweep_backend("python"))
-        vectorized = compiled.run(initial, config, backend=resolve_sweep_backend("numpy"))
-        for pair, value in python.items():
-            assert abs(value - vectorized[pair]) <= TOLERANCE
-
-    def test_empty_initial_and_extra_pairs(self):
-        source, _ = _random_graph("s", 1)
-        target, _ = _random_graph("t", 2)
-        compiled = compile_pcg(source, target)
-        numpy_backend = resolve_sweep_backend("numpy")
-        assert compiled.run({}, backend=numpy_backend) == compiled.run({})
-        # pairs outside the structural PCG are interned past it and ride
-        # through normalization on both backends
-        lone = {("s/nowhere", "t/nowhere"): 0.7}
-        assert compiled.run(lone, backend=numpy_backend) == compiled.run(lone)
-
-    def test_backends_interleave_on_one_compiled_pcg(self):
-        """Alternating backends on the same compiled structure (shared
-        buffers, cached views) never changes results."""
-        source, sids = _random_graph("s", 5)
-        target, tids = _random_graph("t", 6)
-        initial = _random_initial(sids, tids, 7)
-        compiled = compile_pcg(source, target)
-        python_backend = resolve_sweep_backend("python")
-        numpy_backend = resolve_sweep_backend("numpy")
-        first = compiled.run(initial, backend=python_backend)
-        second = compiled.run(initial, backend=numpy_backend)
-        third = compiled.run(initial, backend=python_backend)
-        assert first == third
-        for pair, value in first.items():
-            assert abs(value - second[pair]) <= TOLERANCE
-
-    def test_results_are_plain_floats(self):
-        source, sids = _random_graph("s", 8)
-        target, tids = _random_graph("t", 9)
-        initial = _random_initial(sids, tids, 10)
-        result = compile_pcg(source, target).run(
-            initial, backend=resolve_sweep_backend("numpy")
-        )
-        assert all(type(value) is float for value in result.values())
-
-    @given(seeds, seeds, seeds)
-    @settings(max_examples=8, deadline=None)
-    def test_engine_matrix_identical_across_backends(self, s1, s2, s3):
-        source, _ = _random_graph("s", s1)
-        target, _ = _random_graph("t", s2)
-        python_engine = HarmonyEngine(
-            config=EngineConfig.fast(flooding="classic", sweep_backend="python")
-        )
-        numpy_engine = HarmonyEngine(
-            config=EngineConfig.fast(flooding="classic", sweep_backend="numpy")
-        )
-        python_cells = _cells(python_engine.match(source, target).matrix)
-        numpy_cells = _cells(numpy_engine.match(source, target).matrix)
-        assert set(python_cells) == set(numpy_cells)
-        for pair, (confidence, decided) in python_cells.items():
-            numpy_confidence, numpy_decided = numpy_cells[pair]
-            assert decided == numpy_decided
-            assert abs(confidence - numpy_confidence) <= TOLERANCE
 
 
 # -- c vs python vs reference -------------------------------------------------
@@ -309,8 +180,8 @@ class TestCSweepDifferential:
         initial = _random_initial(sids, tids, s3)
         reference = classic_flooding(source, target, initial)
         compiled = compile_pcg(source, target)
-        python = compiled.run(initial, backend=resolve_sweep_backend("python"))
-        native = compiled.run(initial, backend=resolve_sweep_backend("c"))
+        python = compiled.run(initial, backend=PYTHON_SWEEP_BACKEND)
+        native = compiled.run(initial, backend=CSweepBackend())
         assert python == reference
         assert native.keys() == python.keys()
         for pair, value in python.items():
@@ -324,8 +195,8 @@ class TestCSweepDifferential:
         initial = _random_initial(sids, tids, s3)
         config = FloodingConfig(max_iterations=iterations, epsilon=0.0)
         compiled = compile_pcg(source, target)
-        python = compiled.run(initial, config, backend=resolve_sweep_backend("python"))
-        native = compiled.run(initial, config, backend=resolve_sweep_backend("c"))
+        python = compiled.run(initial, config, backend=PYTHON_SWEEP_BACKEND)
+        native = compiled.run(initial, config, backend=CSweepBackend())
         for pair, value in python.items():
             assert abs(value - native[pair]) <= TOLERANCE
 
@@ -333,17 +204,20 @@ class TestCSweepDifferential:
         source, _ = _random_graph("s", 1)
         target, _ = _random_graph("t", 2)
         compiled = compile_pcg(source, target)
-        c_backend = resolve_sweep_backend("c")
-        assert compiled.run({}, backend=c_backend) == compiled.run({})
+        c_backend = CSweepBackend()
+        python = PYTHON_SWEEP_BACKEND
+        assert compiled.run({}, backend=c_backend) == compiled.run(
+            {}, backend=python)
         lone = {("s/nowhere", "t/nowhere"): 0.7}
-        assert compiled.run(lone, backend=c_backend) == compiled.run(lone)
+        assert compiled.run(lone, backend=c_backend) == compiled.run(
+            lone, backend=python)
 
     def test_results_are_plain_floats(self):
         source, sids = _random_graph("s", 8)
         target, tids = _random_graph("t", 9)
         initial = _random_initial(sids, tids, 10)
         result = compile_pcg(source, target).run(
-            initial, backend=resolve_sweep_backend("c")
+            initial, backend=CSweepBackend()
         )
         assert all(type(value) is float for value in result.values())
 
@@ -352,14 +226,12 @@ class TestCSweepDifferential:
     def test_engine_matrix_identical_across_backends(self, s1, s2, s3):
         source, _ = _random_graph("s", s1)
         target, _ = _random_graph("t", s2)
-        python_engine = HarmonyEngine(
-            config=EngineConfig.fast(flooding="classic", sweep_backend="python")
-        )
-        c_engine = HarmonyEngine(
-            config=EngineConfig.fast(flooding="classic", sweep_backend="c")
-        )
-        python_cells = _cells(python_engine.match(source, target).matrix)
-        c_cells = _cells(c_engine.match(source, target).matrix)
+        config = EngineConfig.fast(flooding="classic")
+        with mock.patch.object(flooding_mod, "default_sweep_backend",
+                               lambda: PYTHON_SWEEP_BACKEND):
+            python_cells = _cells(
+                HarmonyEngine(config=config).match(source, target).matrix)
+        c_cells = _cells(HarmonyEngine(config=config).match(source, target).matrix)
         assert set(python_cells) == set(c_cells)
         for pair, (confidence, decided) in python_cells.items():
             c_confidence, c_decided = c_cells[pair]
@@ -367,7 +239,7 @@ class TestCSweepDifferential:
             assert abs(confidence - c_confidence) <= TOLERANCE
 
 
-# -- directional sweep across backends ----------------------------------------
+# -- directional sweep on both kernels ------------------------------------------
 
 
 class TestDirectionalBackends:
@@ -378,7 +250,8 @@ class TestDirectionalBackends:
         target, tids = _random_graph("t", s2)
         scores = _random_scores(sids, tids, s3)
         reference = directional_flooding(source, target, scores)
-        compiled = directional_flooding_compiled(source, target, scores)
+        compiled = directional_flooding_compiled(
+            source, target, scores, backend=PYTHON_SWEEP_BACKEND)
         assert compiled.keys() == reference.keys()
         for pair, value in reference.items():
             assert abs(value - compiled[pair]) <= TOLERANCE
@@ -391,31 +264,14 @@ class TestDirectionalBackends:
         target, tids = _random_graph("t", s2)
         scores = _random_scores(sids, tids, s3)
         python = directional_flooding_compiled(
-            source, target, scores, backend=resolve_sweep_backend("python")
+            source, target, scores, backend=PYTHON_SWEEP_BACKEND
         )
         native = directional_flooding_compiled(
-            source, target, scores, backend=resolve_sweep_backend("c")
+            source, target, scores, backend=CSweepBackend()
         )
         assert native.keys() == python.keys()
         for pair, value in python.items():
             assert abs(value - native[pair]) <= TOLERANCE
-
-    @needs_numpy
-    @given(seeds, seeds, seeds)
-    @settings(max_examples=25, deadline=None)
-    def test_numpy_backend_matches_python(self, s1, s2, s3):
-        # NumpySweepBackend inherits the reference directional loop, so
-        # routing directional sweeps through it must change nothing
-        source, sids = _random_graph("s", s1)
-        target, tids = _random_graph("t", s2)
-        scores = _random_scores(sids, tids, s3)
-        python = directional_flooding_compiled(
-            source, target, scores, backend=resolve_sweep_backend("python")
-        )
-        vectorized = directional_flooding_compiled(
-            source, target, scores, backend=resolve_sweep_backend("numpy")
-        )
-        assert vectorized == python
 
     @needs_csweep
     def test_pinned_pairs_survive_c_sweep(self):
@@ -426,11 +282,11 @@ class TestDirectionalBackends:
         config = DirectionalConfig()
         python = directional_flooding_compiled(
             source, target, scores, config, pinned=pinned,
-            backend=resolve_sweep_backend("python"),
+            backend=PYTHON_SWEEP_BACKEND,
         )
         native = directional_flooding_compiled(
             source, target, scores, config, pinned=pinned,
-            backend=resolve_sweep_backend("c"),
+            backend=CSweepBackend(),
         )
         for pair, value in python.items():
             assert abs(value - native[pair]) <= TOLERANCE
@@ -440,26 +296,5 @@ class TestDirectionalBackends:
         source, _ = _random_graph("s", 1)
         target, _ = _random_graph("t", 2)
         assert directional_flooding_compiled(
-            source, target, {}, backend=resolve_sweep_backend("c")
+            source, target, {}, backend=CSweepBackend()
         ) == {}
-
-
-# -- cffi fallback ------------------------------------------------------------
-
-
-class TestCffiFallback:
-    def test_explicit_c_uses_cffi_when_extension_absent(self, monkeypatch):
-        pytest.importorskip("cffi")
-        monkeypatch.setattr(flooding_mod, "_probe_csweep", lambda: None)
-        try:
-            backend = CSweepBackend()
-        except ImportError:
-            pytest.skip("no C compiler available for the cffi runtime build")
-        source, sids = _random_graph("s", 31)
-        target, tids = _random_graph("t", 32)
-        initial = _random_initial(sids, tids, 33)
-        compiled = compile_pcg(source, target)
-        python = compiled.run(initial, backend=resolve_sweep_backend("python"))
-        native = compiled.run(initial, backend=backend)
-        for pair, value in python.items():
-            assert abs(value - native[pair]) <= TOLERANCE

@@ -7,7 +7,10 @@ oracles: the differential suites and the relative gates of
 
 * :func:`classic_flooding` / :func:`directional_flooding` — the
   dict-keyed flooding fixpoints (``tests/oracles/flooding.py``); the
-  compiled sweeps reproduce them bit for bit on the Python backend;
+  compiled sweeps reproduce them bit for bit;
+* :func:`blocking_candidates` — the ad hoc inverted-index candidate
+  retrieval (``tests/oracles/blocking.py``); retrieval through a warm or
+  patched ``BlockingIndex`` returns the same ordered pairs;
 * :func:`evaluate_reference` — the greedy left-to-right BGP evaluator
   (``tests/oracles/query.py``); the cost-based planner returns the same
   solution multiset.
@@ -16,10 +19,12 @@ Import as ``from tests.oracles import ...`` (benchmarks put the repo
 root on ``sys.path`` first).
 """
 
+from .blocking import blocking_candidates
 from .flooding import classic_flooding, directional_flooding, pcg_edges
 from .query import evaluate_reference
 
 __all__ = [
+    "blocking_candidates",
     "classic_flooding",
     "directional_flooding",
     "evaluate_reference",

@@ -3,8 +3,7 @@ single bit of any result.
 
 N sessions, each with its own perturbed schema pair, matched through
 the server with 4 workers running concurrently, must produce matrices
-bit-identical to N serial runs on fresh, private engines — in both
-executor modes."""
+bit-identical to N serial runs on fresh, private engines."""
 
 import pytest
 
@@ -49,9 +48,8 @@ def _serial_reference(orders_ddl_text, notice_xsd_text):
     return expected
 
 
-def _served_concurrent(make_server, orders_ddl_text, notice_xsd_text,
-                       executor):
-    server = make_server(workers=4, executor=executor, queue_limit=256)
+def _served_concurrent(make_server, orders_ddl_text, notice_xsd_text):
+    server = make_server(workers=4, queue_limit=256)
     client = WorkbenchClient(server)
     for index in range(N_SESSIONS):
         ddl, xsd = _perturbed_pair(orders_ddl_text, notice_xsd_text, index)
@@ -76,22 +74,13 @@ def _served_concurrent(make_server, orders_ddl_text, notice_xsd_text,
 def test_concurrent_thread_mode_is_bit_identical_to_serial(
         make_server, orders_ddl_text, notice_xsd_text):
     expected = _serial_reference(orders_ddl_text, notice_xsd_text)
-    got = _served_concurrent(
-        make_server, orders_ddl_text, notice_xsd_text, "thread")
+    got = _served_concurrent(make_server, orders_ddl_text, notice_xsd_text)
     assert got == expected  # dict equality on floats == bit-identical
 
     # the perturbation did its job: no two sessions agree
     maps = list(expected.values())
     assert all(maps[i] != maps[j]
                for i in range(len(maps)) for j in range(i + 1, len(maps)))
-
-
-def test_concurrent_process_mode_is_bit_identical_to_serial(
-        make_server, orders_ddl_text, notice_xsd_text):
-    expected = _serial_reference(orders_ddl_text, notice_xsd_text)
-    got = _served_concurrent(
-        make_server, orders_ddl_text, notice_xsd_text, "process")
-    assert got == expected
 
 
 def test_repeat_match_on_warm_engine_is_stable(make_server, load_pair):
@@ -103,37 +92,3 @@ def test_repeat_match_on_warm_engine_is_stable(make_server, load_pair):
     cells = lambda m: {(c.source_id, c.target_id): c.confidence
                        for c in m.cells()}
     assert cells(first) == cells(second)
-
-
-#: the two cells session A accepts in the leak test below
-_ACCEPTS = (
-    ("orders/customer/first_name",
-     "notice/shippingNotice/recipientName/firstName"),
-    ("orders/customer/last_name",
-     "notice/shippingNotice/recipientName/lastName"),
-)
-
-
-def test_process_worker_keeps_sessions_apart(
-        make_server, load_pair, orders_ddl_text, notice_xsd_text):
-    """One process worker serves two sessions in turn.  Session A's
-    accepts (learned merger weights, consumed decisions, its match
-    context) must not reach session B, whose first match of the
-    identical pair must equal a fresh engine's."""
-    server = make_server(workers=1, executor="process")
-    load_pair(server, "a")
-    load_pair(server, "b")
-    server.match("a", "orders", "notice").result(300)
-    for source_id, target_id in _ACCEPTS:
-        server.update_cell("a", "orders->notice", source_id, target_id,
-                           1.0, user_defined=True).result(60)
-    server.match("a", "orders", "notice").result(300)
-    got = server.match("b", "orders", "notice").result(300)
-
-    source = load_sql(orders_ddl_text, "orders")
-    target = load_xsd(notice_xsd_text, "notice")
-    fresh = HarmonyEngine(config=ServingConfig().resolved_engine_config())
-    expected = fresh.match(source, target).matrix
-    cells = lambda m: {(c.source_id, c.target_id): c.confidence
-                       for c in m.cells()}
-    assert cells(got) == cells(expected)

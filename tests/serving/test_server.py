@@ -34,8 +34,6 @@ class TestConfigValidation:
         with pytest.raises(ToolError):
             ServingConfig(workers=0)
         with pytest.raises(ToolError):
-            ServingConfig(executor="fiber")
-        with pytest.raises(ToolError):
             ServingConfig(queue_limit=0)
         with pytest.raises(ToolError):
             ServingConfig(retry_after_s=-1.0)

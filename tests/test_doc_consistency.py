@@ -1,7 +1,8 @@
 """Docs must keep up with the code: every CI-enforced config flag
 (EngineConfig, ServingConfig, BlockingConfig, EmbedConfig, AnnConfig)
-documented in its doc set, and the README's EngineConfig table listing
-exactly the dataclass's fields."""
+documented in its doc set, and the README's EngineConfig table and
+docs/SERVING.md's ServingConfig table listing exactly the dataclass's
+fields."""
 
 import os
 import sys
@@ -42,6 +43,13 @@ def test_checker_covers_every_config_and_its_docs():
     assert os.path.join("docs", "MATCHING.md") in doc_sets["BlockingConfig"]
     assert performance in doc_sets["EmbedConfig"]
     assert performance in doc_sets["AnnConfig"]
+    tables = {class_name: (path, heading)
+              for (_, class_name), path, heading in check_doc_flags.TABLE_SETS}
+    assert tables == {
+        "EngineConfig": ("README.md", "## Configuration"),
+        "ServingConfig": (os.path.join("docs", "SERVING.md"),
+                          "## Configuration reference"),
+    }
 
 
 def test_planted_stale_table_row_fails():
@@ -49,7 +57,7 @@ def test_planted_stale_table_row_fails():
     readme = os.path.join(os.path.dirname(SCRIPTS), "README.md")
     with open(readme, "r", encoding="utf-8") as handle:
         text = handle.read()
-    anchor = "| `parallelism` |"
+    anchor = "| `reuse_context` |"
     assert anchor in text
     planted = text.replace(
         anchor,
@@ -59,6 +67,6 @@ def test_planted_stale_table_row_fails():
     mismatches = check_doc_flags.table_mismatches({"README.md": planted})
     assert mismatches == [
         ("EngineConfig", "sparse_flooding", "README.md", "stale row")]
-    dropped = text.replace(anchor, "| `not_parallelism` |", 1)
-    assert ("EngineConfig", "parallelism", "README.md", "missing row") in (
+    dropped = text.replace(anchor, "| `not_reuse_context` |", 1)
+    assert ("EngineConfig", "reuse_context", "README.md", "missing row") in (
         check_doc_flags.table_mismatches({"README.md": dropped}))

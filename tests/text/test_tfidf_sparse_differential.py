@@ -20,6 +20,7 @@ standard suite.
 import json
 import os
 import string
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -28,11 +29,7 @@ from hypothesis import strategies as st
 from repro.harmony import EngineConfig, HarmonyEngine, MatchContext
 from repro.text import SparseTfIdf, TfIdfCorpus
 from repro.text import tfidf_sparse as tfidf_sparse_mod
-from repro.text.tfidf_sparse import (
-    ALL_PAIRS_BACKENDS,
-    all_pairs_stats,
-    reset_all_pairs_stats,
-)
+from repro.text.tfidf_sparse import all_pairs_stats, reset_all_pairs_stats
 
 HAS_NUMPY = tfidf_sparse_mod._probe_numpy() is not None
 needs_numpy = pytest.mark.skipif(not HAS_NUMPY, reason="numpy not installed")
@@ -47,6 +44,13 @@ GOLDEN_PATH = os.path.join(os.path.dirname(__file__), "golden_schema_tokens.json
 words = st.text(alphabet=string.ascii_lowercase, min_size=2, max_size=6)
 documents = st.lists(words, min_size=0, max_size=12).map(" ".join)
 corpora = st.lists(documents, min_size=2, max_size=10)
+
+
+def merge_all_pairs(corpus, **kwargs):
+    """``all_pairs`` as it runs where NumPy is not importable: the
+    postings sorted-merge reference."""
+    with mock.patch.object(tfidf_sparse_mod, "_probe_numpy", lambda: None):
+        return SparseTfIdf(corpus).all_pairs(**kwargs)
 
 
 def golden():
@@ -209,22 +213,8 @@ class TestInvalidation:
 
 
 class TestAllPairsBackends:
-    """The CSR matmul route vs the sorted-merge reference."""
-
-    def test_selector_vocabulary(self):
-        assert ALL_PAIRS_BACKENDS == ("auto", "merge", "csr")
-
-    def test_unknown_selector_raises(self):
-        corpus = TfIdfCorpus()
-        with pytest.raises(ValueError, match="unknown all_pairs backend"):
-            SparseTfIdf(corpus, all_pairs_backend="gpu")
-
-    def test_csr_without_numpy_raises_actionably(self, monkeypatch):
-        corpus, _, _ = build(["alpha beta", "beta gamma"])
-        monkeypatch.setattr(tfidf_sparse_mod, "_probe_numpy", lambda: None)
-        sparse = SparseTfIdf(corpus, all_pairs_backend="csr")
-        with pytest.raises(ImportError, match=r"pip install \.\[fast\]"):
-            sparse.all_pairs()
+    """The CSR matmul route (NumPy importable, the corpus within the
+    dense budget) vs the sorted-merge reference."""
 
     def test_auto_without_numpy_uses_merge(self, monkeypatch):
         corpus, _, ids = build(["alpha beta", "beta gamma"])
@@ -258,9 +248,7 @@ class TestAllPairsBackends:
         stats = all_pairs_stats()
         assert stats["allpairs_csr_oversize_fallbacks"] == 1
         assert stats["allpairs_merge_sweeps"] == 1
-        # explicit "csr" ignores the budget
-        explicit = SparseTfIdf(corpus, all_pairs_backend="csr")
-        assert explicit.all_pairs().keys() == table.keys()
+        assert table == merge_all_pairs(corpus)
 
     @needs_numpy
     @given(corpora)
@@ -269,8 +257,8 @@ class TestAllPairsBackends:
         corpus = TfIdfCorpus()
         for i, text in enumerate(texts):
             corpus.add_document(f"doc{i}", text)
-        merge = SparseTfIdf(corpus, all_pairs_backend="merge").all_pairs()
-        csr = SparseTfIdf(corpus, all_pairs_backend="csr").all_pairs()
+        merge = merge_all_pairs(corpus)
+        csr = SparseTfIdf(corpus).all_pairs()
         assert csr.keys() == merge.keys()
         for pair, sim in merge.items():
             assert abs(sim - csr[pair]) <= TOLERANCE
@@ -285,12 +273,8 @@ class TestAllPairsBackends:
         ids = [f"doc{i}" for i in range(len(texts))]
         evens = {doc for i, doc in enumerate(ids) if i % 2 == 0}
         group_of = lambda doc: doc in evens
-        merge = SparseTfIdf(corpus, all_pairs_backend="merge").all_pairs(
-            min_sim=min_sim, group_of=group_of
-        )
-        csr = SparseTfIdf(corpus, all_pairs_backend="csr").all_pairs(
-            min_sim=min_sim, group_of=group_of
-        )
+        merge = merge_all_pairs(corpus, min_sim=min_sim, group_of=group_of)
+        csr = SparseTfIdf(corpus).all_pairs(min_sim=min_sim, group_of=group_of)
         assert csr.keys() == merge.keys()
         for pair, sim in merge.items():
             assert abs(sim - csr[pair]) <= TOLERANCE
@@ -298,7 +282,7 @@ class TestAllPairsBackends:
     @needs_numpy
     def test_csr_values_are_plain_floats(self):
         _, sparse, _ = build(["alpha beta", "beta gamma"])
-        table = SparseTfIdf(sparse.corpus, all_pairs_backend="csr").all_pairs()
+        table = SparseTfIdf(sparse.corpus).all_pairs()
         assert all(type(v) is float for v in table.values())
 
     @needs_numpy
@@ -308,8 +292,8 @@ class TestAllPairsBackends:
         corpus = TfIdfCorpus()
         for i, text in enumerate(texts):
             corpus.add_document(f"doc{i}", text)
-        merge = SparseTfIdf(corpus, all_pairs_backend="merge").all_pairs()
-        csr = SparseTfIdf(corpus, all_pairs_backend="csr").all_pairs()
+        merge = merge_all_pairs(corpus)
+        csr = SparseTfIdf(corpus).all_pairs()
         assert csr.keys() == merge.keys()
         worst = max(
             (abs(sim - csr[pair]) for pair, sim in merge.items()), default=0.0

@@ -3,6 +3,8 @@
 import pytest
 
 from repro.core import MappingMatrix, StoreError
+from repro.rdf import literal, schema_iri
+from repro.rdf import vocabulary as V
 from repro.workbench import IntegrationBlackboard
 
 
@@ -36,6 +38,27 @@ class TestSchemas:
         blackboard.put_schema(shipping_notice_graph)
         blackboard.put_schema(purchase_order_graph)
         assert blackboard.schema_names() == ["po", "sn"]
+
+    @pytest.mark.parametrize("delta", [False, True])
+    def test_put_schema_ignores_a_corrupted_neighbour(
+            self, purchase_order_graph, shipping_notice_graph, delta):
+        """A second ``iw:name`` on schema "sn" makes listing every schema
+        raise; writing and finding schema "po" reads only po's own
+        triples, so both still work."""
+        blackboard = IntegrationBlackboard()
+        blackboard.put_schema(purchase_order_graph)
+        blackboard.put_schema(shipping_notice_graph)
+        blackboard.store.add(schema_iri("sn"), V.NAME, literal("sn-too"))
+        with pytest.raises(StoreError):
+            blackboard.schema_names()
+
+        modified = purchase_order_graph.copy()
+        modified.element("po/purchaseOrder").documentation = "Updated."
+        blackboard.put_schema(modified, delta=delta)
+        assert blackboard.has_schema("po")
+        assert not blackboard.has_schema("nowhere")
+        assert blackboard.get_schema("po").element(
+            "po/purchaseOrder").documentation == "Updated."
 
 
 class TestMatrices:
