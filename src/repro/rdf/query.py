@@ -7,7 +7,7 @@ a query is a list of triple patterns whose positions are terms or
 predicates, with ordering/limit/projection.
 
 :func:`evaluate` runs the cost-based planner: join order is chosen by
-*actual* cardinality estimates from the store's O(1) index statistics
+*actual* cardinality estimates from the store's index statistics
 (:meth:`TripleStore.count_matching`), each distinct resolved pattern
 hits the store once (a pattern-result memo keyed on the store's
 mutation ``revision``), and patterns whose only unbound variable
@@ -276,7 +276,7 @@ def _candidate_set(
     store: TripleStore, pattern: TriplePattern, binding: Binding, var: Variable
 ) -> AbstractSet[Term]:
     """Values *var* can take for a pattern whose two other positions are
-    concrete under *binding* — straight off one permutation index."""
+    concrete under *binding* — read off one index slot."""
     subject, predicate, obj = pattern.resolve(binding)
     if _invalid_resolution(subject, predicate):
         return frozenset()

@@ -20,7 +20,7 @@ and deltas are stable across workbench instances.
 from __future__ import annotations
 
 import urllib.parse
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import AbstractSet, Callable, Dict, List, Optional, Tuple
 
 from ..core.correspondence import Correspondence
 from ..core.elements import ElementKind, SchemaElement
@@ -84,6 +84,7 @@ def schema_to_rdf(graph: SchemaGraph, store: TripleStore) -> IRI:
 
 def _schema_slices(
     graph: SchemaGraph,
+    only: Optional[AbstractSet[str]] = None,
 ) -> "Tuple[Dict[object, Dict[IRI, List[object]]], int]":
     """The canonical schema layout as ``{subject: {predicate: [objects]}}``.
 
@@ -93,7 +94,9 @@ def _schema_slices(
     :func:`serialize_schema`) and the delta branch of :func:`serialize_schema`
     (which diffs it against the store's index slices without
     materializing a :class:`Triple` per statement) build on.  Returns
-    the nested slices plus the total statement count.
+    the nested slices plus the total statement count.  With *only*, the
+    element slices are built for those element ids alone; the schema
+    subject's slice and the count still cover the whole graph.
     """
     s_iri = schema_iri(graph.name)
     qname = _quote(graph.name)
@@ -111,33 +114,38 @@ def _schema_slices(
         e_iri = term(f"{qname}/{_quote(element.element_id)}")
         element_iris[element.element_id] = e_iri
         has_elements.append(e_iri)
+        annotations = [
+            (key, value) for key, value in element.annotations.items()
+            if isinstance(value, (str, int, float, bool))
+        ]
+        total += (4 + bool(element.datatype) + bool(element.documentation)
+                  + len(annotations))
+        if only is not None and element.element_id not in only:
+            continue
         e_slice: Dict[IRI, List[object]] = {
             V.RDF_TYPE: [V.ELEMENT_CLASS],
             V.NAME: [literal(element.name)],
             V.KIND: [literal(element.kind.value)],
         }
-        total += 4
         if element.datatype:
             e_slice[V.TYPE] = [literal(element.datatype)]
-            total += 1
         if element.documentation:
             e_slice[V.DOCUMENTATION] = [literal(element.documentation)]
-            total += 1
-        for key, value in element.annotations.items():
-            if isinstance(value, (str, int, float, bool)):
-                e_slice[IW_NS.term(f"annotation-{_quote(key)}")] = [literal(value)]
-                total += 1
+        for key, value in annotations:
+            e_slice[IW_NS.term(f"annotation-{_quote(key)}")] = [literal(value)]
         slices[e_iri] = e_slice
     m_slice[V.HAS_ROOT] = [element_iris[graph.root.element_id]]
     total += 1
     for edge in graph.edges:
+        total += 1
+        if only is not None and edge.subject not in only:
+            continue
         predicate = V.EDGE_LABEL_TO_IRI.get(edge.label, IW_NS.term(_quote(edge.label)))
         e_slice = slices[element_iris[edge.subject]]
         objs = e_slice.get(predicate)
         if objs is None:
             objs = e_slice[predicate] = []
         objs.append(element_iris[edge.object])
-        total += 1
     if not has_elements:
         del m_slice[V.HAS_ELEMENT]
     return slices, total
@@ -248,13 +256,13 @@ def serialize_schema(
         stats["schema_triples_removed"] += removed
         return s_iri
 
-    desired_slices, total = _schema_slices(graph)
     if previous is not None and previous.name != graph.name:
         previous = None
     subject_slice = store.subject_slice
     dropped_iris: List[IRI]
     if previous is not None and exists:
         dirty = _dirty_schema_elements(previous, graph)
+        desired_slices, total = _schema_slices(graph, only=dirty)
         subjects = {s_iri}
         subjects.update(element_iri(graph.name, eid) for eid in dirty)
         dropped_iris = [
@@ -263,6 +271,7 @@ def serialize_schema(
             if eid not in graph
         ]
     else:
+        desired_slices, total = _schema_slices(graph)
         subjects = set(desired_slices)
         stored_elements = [
             obj for obj in store.objects(s_iri, V.HAS_ELEMENT)
@@ -1193,6 +1202,12 @@ def rdf_to_matrix(
     if views is not None:
         views[matrix_name] = view
     return matrix
+
+
+def has_matrix(store: TripleStore, matrix_name: str) -> bool:
+    """Whether a matrix of that name is stored, judged by its own
+    subject only — a malformed neighbour cannot make this raise."""
+    return V.MATRIX_CLASS in store.object_set(matrix_iri(matrix_name), V.RDF_TYPE)
 
 
 def matrices_in_store(store: TripleStore) -> List[str]:

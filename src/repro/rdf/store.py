@@ -1,9 +1,13 @@
 """An indexed in-memory triple store.
 
-The store keeps three permutation indexes (SPO, POS, OSP) so any triple
-pattern with at least one bound position resolves without a full scan —
-the workbench manager's query service and the blackboard's delta logic
-both lean on this.
+Each statement lives in two permutation indexes and nowhere else: SPO
+(subject -> predicate -> objects) and POS (predicate -> object ->
+subjects).  No per-statement object is kept, so a bulk write allocates
+only index slots, and a slot is deleted when its last statement goes.
+Any pattern with a bound subject or predicate reads one index directly;
+an object-only pattern scans POS over the store's predicates, of which a
+workbench blackboard has a few dozen at most.  The workbench manager's
+query service and the blackboard's delta logic both lean on this.
 
 Mutations can be observed: :meth:`subscribe` registers a callback invoked
 with every added/removed triple, which is how blackboard transactions build
@@ -12,7 +16,7 @@ their undo logs and how the event service learns about changes.
 
 from __future__ import annotations
 
-from collections import Counter
+from types import MappingProxyType
 from typing import (
     AbstractSet,
     Callable,
@@ -20,6 +24,7 @@ from typing import (
     Iterable,
     Iterator,
     List,
+    Mapping,
     Optional,
     Sequence,
     Set,
@@ -27,7 +32,7 @@ from typing import (
 )
 
 from ..core.errors import StoreError
-from .term import IRI, Object, Subject, Term
+from .term import IRI, Object, Subject
 from .triple import Triple
 
 #: (added?, triple) — True for insertion, False for removal.
@@ -36,22 +41,22 @@ StoreListener = Callable[[bool, Triple], None]
 #: batches.  Bulk loads pay one call instead of one per triple.
 BatchListener = Callable[[Sequence[Tuple[bool, Triple]]], None]
 
+#: what an index lookup of an absent key reads
+_NO_SLOT: Mapping = MappingProxyType({})
+
 
 class TripleStore:
     """Set semantics over triples with pattern matching."""
 
     def __init__(self) -> None:
-        self._triples: Set[Triple] = set()
         self._spo: Dict[Subject, Dict[IRI, Set[Object]]] = {}
         self._pos: Dict[IRI, Dict[Object, Set[Subject]]] = {}
-        self._osp: Dict[Object, Dict[Subject, Set[IRI]]] = {}
+        #: statements per predicate, kept incrementally so the query
+        #: planner's predicate-bound estimates (`count_matching`) stay O(1)
+        self._predicate_counts: Dict[IRI, int] = {}
+        self._size = 0
         self._listeners: List[StoreListener] = []
         self._batch_listeners: List[BatchListener] = []
-        #: per-position triple counts, kept incrementally so single-bound
-        #: cardinality estimates (`count_matching`) stay O(1).
-        self._subject_counts: Dict[Subject, int] = {}
-        self._predicate_counts: Dict[IRI, int] = {}
-        self._object_counts: Dict[Object, int] = {}
         #: bumped by every successful add/remove; the query planner keys
         #: its pattern-result memo on this.
         self._revision: int = 0
@@ -80,33 +85,50 @@ class TripleStore:
         return self.add_triple(Triple(subject, predicate, obj))
 
     def add_triple(self, triple: Triple) -> bool:
-        if not self._index_add(triple):
+        if not self._index((triple,)):
             return False
         self._notify(True, triple)
         return True
 
-    def _index_add(self, triple: Triple) -> bool:
-        """Insert into the permutation indexes without notifying."""
-        if triple in self._triples:
-            return False
-        self._triples.add(triple)
-        self._spo.setdefault(triple.subject, {}).setdefault(
-            triple.predicate, set()
-        ).add(triple.object)
-        self._pos.setdefault(triple.predicate, {}).setdefault(
-            triple.object, set()
-        ).add(triple.subject)
-        self._osp.setdefault(triple.object, {}).setdefault(
-            triple.subject, set()
-        ).add(triple.predicate)
-        counts = self._subject_counts
-        counts[triple.subject] = counts.get(triple.subject, 0) + 1
+    def _index(self, triples: Iterable[Triple]) -> List[Triple]:
+        """Insert into SPO and POS without notifying; returns the triples
+        that were not stored yet, in input order.
+
+        The membership probe is the SPO lookup the insert makes anyway,
+        and the lookups are hoisted out of the loop, so a bulk matrix
+        serialization pays no per-triple call overhead.
+        """
+        spo, pos = self._spo, self._pos
         counts = self._predicate_counts
-        counts[triple.predicate] = counts.get(triple.predicate, 0) + 1
-        counts = self._object_counts
-        counts[triple.object] = counts.get(triple.object, 0) + 1
-        self._revision += 1
-        return True
+        fresh: List[Triple] = []
+        append = fresh.append
+        for triple in triples:
+            subject = triple.subject
+            predicate = triple.predicate
+            obj = triple.object
+            by_pred = spo.get(subject)
+            if by_pred is None:
+                by_pred = spo[subject] = {}
+            objs = by_pred.get(predicate)
+            if objs is None:
+                by_pred[predicate] = {obj}
+            elif obj in objs:
+                continue
+            else:
+                objs.add(obj)
+            append(triple)
+            by_obj = pos.get(predicate)
+            if by_obj is None:
+                by_obj = pos[predicate] = {}
+            subjects = by_obj.get(obj)
+            if subjects is None:
+                by_obj[obj] = {subject}
+            else:
+                subjects.add(subject)
+            counts[predicate] = counts.get(predicate, 0) + 1
+        self._size += len(fresh)
+        self._revision += len(fresh)
+        return fresh
 
     def add_many(self, triples: Iterable[Triple]) -> int:
         """Bulk insert with one batched listener notification.
@@ -114,107 +136,33 @@ class TripleStore:
         Returns how many triples were new.  Per-triple listeners still
         see every change; batch listeners get a single call — this is
         what keeps blackboard schema loads O(n) instead of
-        O(n · listeners · call overhead).  The index maintenance is
-        inlined with the lookups hoisted out of the loop, so a bulk
-        matrix serialization pays no per-triple call overhead.
+        O(n · listeners · call overhead).
         """
-        stored = self._triples
-        spo, pos, osp = self._spo, self._pos, self._osp
-        fresh: List[Triple] = []
-        append = fresh.append
-        for triple in triples:
-            if triple in stored:
-                continue
-            stored.add(triple)
-            append(triple)
-            subject = triple.subject
-            predicate = triple.predicate
-            obj = triple.object
-            by_pred = spo.get(subject)
-            if by_pred is None:
-                by_pred = spo[subject] = {}
-            objs = by_pred.get(predicate)
-            if objs is None:
-                objs = by_pred[predicate] = set()
-            objs.add(obj)
-            by_obj = pos.get(predicate)
-            if by_obj is None:
-                by_obj = pos[predicate] = {}
-            subjects = by_obj.get(obj)
-            if subjects is None:
-                subjects = by_obj[obj] = set()
-            subjects.add(subject)
-            by_subj = osp.get(obj)
-            if by_subj is None:
-                by_subj = osp[obj] = {}
-            predicates = by_subj.get(subject)
-            if predicates is None:
-                predicates = by_subj[subject] = set()
-            predicates.add(predicate)
-        if not fresh:
-            return 0
-        for counts, per_key in (
-            (self._subject_counts, Counter(t.subject for t in fresh)),
-            (self._predicate_counts, Counter(t.predicate for t in fresh)),
-            (self._object_counts, Counter(t.object for t in fresh)),
-        ):
-            for key, count in per_key.items():
-                counts[key] = counts.get(key, 0) + count
-        self._revision += len(fresh)
-        if self._listeners or self._batch_listeners:
+        fresh = self._index(triples)
+        if fresh and (self._listeners or self._batch_listeners):
             self._notify_many([(True, triple) for triple in fresh])
         return len(fresh)
 
     def bulk_load(self, triples: Sequence[Triple]) -> int:
         """Load a known-distinct triple list into an empty store.
 
-        The snapshot-recovery fast path (:mod:`repro.rdf.durability`):
-        with no duplicates possible and nobody observing, it skips the
-        per-triple membership probe, the fresh-list assembly, and the
-        listener dispatch that ``add_many`` pays, and builds the
-        position counters with one :class:`Counter` pass per position.
-        The revision advances by the triple count — exactly what
-        ``add_many`` would do for the same (all-fresh) input — so a
-        recovered store's counter lines up with the replayed WAL.
+        The snapshot-recovery path (:mod:`repro.rdf.durability`): with
+        nobody observing, it skips the listener dispatch that
+        ``add_many`` pays.  The revision advances by the triple count —
+        exactly what ``add_many`` would do for the same (all-fresh)
+        input — so a recovered store's counter lines up with the
+        replayed WAL.  A list with duplicates raises and leaves the
+        store as it was.
         """
-        if self._triples:
+        if self._size:
             raise StoreError("bulk_load requires an empty store")
         if self._listeners or self._batch_listeners:
             raise StoreError("bulk_load requires an unobserved store")
-        stored = set(triples)
-        if len(stored) != len(triples):
+        revision = self._revision
+        if len(self._index(triples)) != len(triples):
+            self._spo, self._pos, self._predicate_counts = {}, {}, {}
+            self._size, self._revision = 0, revision
             raise StoreError("bulk_load requires distinct triples")
-        self._triples = stored
-        spo, pos, osp = self._spo, self._pos, self._osp
-        for triple in triples:
-            subject = triple.subject
-            predicate = triple.predicate
-            obj = triple.object
-            by_pred = spo.get(subject)
-            if by_pred is None:
-                by_pred = spo[subject] = {}
-            objs = by_pred.get(predicate)
-            if objs is None:
-                objs = by_pred[predicate] = set()
-            objs.add(obj)
-            by_obj = pos.get(predicate)
-            if by_obj is None:
-                by_obj = pos[predicate] = {}
-            subjects = by_obj.get(obj)
-            if subjects is None:
-                subjects = by_obj[obj] = set()
-            subjects.add(subject)
-            by_subj = osp.get(obj)
-            if by_subj is None:
-                by_subj = osp[obj] = {}
-            predicates = by_subj.get(subject)
-            if predicates is None:
-                predicates = by_subj[subject] = set()
-            predicates.add(predicate)
-        self._subject_counts = dict(Counter(t.subject for t in triples))
-        self._predicate_counts = dict(Counter(t.predicate for t in triples))
-        self._object_counts = dict(Counter(t.object for t in triples))
-        self._revision += len(triples)
         return len(triples)
 
     def remove(self, subject: Subject, predicate: IRI, obj: Object) -> bool:
@@ -222,39 +170,55 @@ class TripleStore:
         return self.remove_triple(Triple(subject, predicate, obj))
 
     def remove_triple(self, triple: Triple) -> bool:
-        if not self._index_remove(triple):
+        if not self._unindex((triple,)):
             return False
         self._notify(False, triple)
         return True
 
-    def _index_remove(self, triple: Triple) -> bool:
-        """Remove from the permutation indexes without notifying."""
-        if triple not in self._triples:
-            return False
-        self._triples.discard(triple)
-        self._spo[triple.subject][triple.predicate].discard(triple.object)
-        self._pos[triple.predicate][triple.object].discard(triple.subject)
-        self._osp[triple.object][triple.subject].discard(triple.predicate)
-        for counts, key in (
-            (self._subject_counts, triple.subject),
-            (self._predicate_counts, triple.predicate),
-            (self._object_counts, triple.object),
-        ):
-            remaining = counts[key] - 1
+    def _unindex(self, triples: Iterable[Triple]) -> List[Triple]:
+        """Remove from SPO and POS without notifying; returns the triples
+        that were stored, in input order.  A slot that loses its last
+        statement is deleted, so the indexes never hold empty entries."""
+        spo, pos = self._spo, self._pos
+        counts = self._predicate_counts
+        gone: List[Triple] = []
+        append = gone.append
+        for triple in triples:
+            subject = triple.subject
+            predicate = triple.predicate
+            obj = triple.object
+            by_pred = spo.get(subject)
+            objs = by_pred.get(predicate) if by_pred is not None else None
+            if objs is None or obj not in objs:
+                continue
+            append(triple)
+            objs.discard(obj)
+            if not objs:
+                del by_pred[predicate]
+                if not by_pred:
+                    del spo[subject]
+            by_obj = pos[predicate]
+            subjects = by_obj[obj]
+            subjects.discard(subject)
+            if not subjects:
+                del by_obj[obj]
+                if not by_obj:
+                    del pos[predicate]
+            remaining = counts[predicate] - 1
             if remaining:
-                counts[key] = remaining
+                counts[predicate] = remaining
             else:
-                del counts[key]
-        self._revision += 1
-        return True
+                del counts[predicate]
+        self._size -= len(gone)
+        self._revision += len(gone)
+        return gone
 
     def remove_many(self, triples: Iterable[Triple]) -> int:
         """Bulk removal with one batched listener notification."""
-        changes: List[Tuple[bool, Triple]] = [
-            (False, triple) for triple in triples if self._index_remove(triple)
-        ]
-        self._notify_many(changes)
-        return len(changes)
+        gone = self._unindex(triples)
+        if gone and (self._listeners or self._batch_listeners):
+            self._notify_many([(False, triple) for triple in gone])
+        return len(gone)
 
     def remove_matching(
         self,
@@ -278,7 +242,7 @@ class TripleStore:
         return self.add_many(triples)
 
     def clear(self) -> None:
-        self.remove_many(list(self._triples))
+        self.remove_many(self._statements())
 
     # -- observation -----------------------------------------------------------
 
@@ -327,7 +291,16 @@ class TripleStore:
 
     # -- reads -------------------------------------------------------------------
 
-    def subject_slice(self, subject: Subject) -> Dict[IRI, AbstractSet[Object]]:
+    def _statements(self) -> List[Triple]:
+        """Every stored triple, in index order, as a new list."""
+        return [
+            Triple(subject, predicate, obj)
+            for subject, by_pred in self._spo.items()
+            for predicate, objs in by_pred.items()
+            for obj in objs
+        ]
+
+    def subject_slice(self, subject: Subject) -> Mapping[IRI, AbstractSet[Object]]:
         """The ``{predicate: objects}`` mapping for one subject.
 
         Returns the live index slice (empty mapping if the subject is
@@ -337,16 +310,17 @@ class TripleStore:
         returned mapping as read-only and must not mutate the store
         while iterating it.
         """
-        return self._spo.get(subject, {})
+        return self._spo.get(subject, _NO_SLOT)
 
     def __len__(self) -> int:
-        return len(self._triples)
+        return self._size
 
     def __contains__(self, triple: Triple) -> bool:
-        return triple in self._triples
+        objs = self._spo.get(triple.subject, _NO_SLOT).get(triple.predicate)
+        return objs is not None and triple.object in objs
 
     def __iter__(self) -> Iterator[Triple]:
-        return iter(sorted(self._triples, key=Triple.sort_key))
+        return iter(sorted(self._statements(), key=Triple.sort_key))
 
     def match(
         self,
@@ -354,14 +328,18 @@ class TripleStore:
         predicate: Optional[IRI] = None,
         obj: Optional[Object] = None,
     ) -> Iterator[Triple]:
-        """All triples matching a pattern; ``None`` is a wildcard."""
+        """All triples matching a pattern; ``None`` is a wildcard.
+
+        A bound subject or predicate reads one index slot; an
+        object-only pattern looks the object up under each of the
+        store's predicates in POS.
+        """
         if subject is not None and predicate is not None and obj is not None:
-            triple = Triple(subject, predicate, obj)
-            if triple in self._triples:
-                yield triple
+            if obj in self._spo.get(subject, _NO_SLOT).get(predicate, ()):
+                yield Triple(subject, predicate, obj)
             return
         if subject is not None:
-            by_pred = self._spo.get(subject, {})
+            by_pred = self._spo.get(subject, _NO_SLOT)
             predicates = [predicate] if predicate is not None else list(by_pred)
             for pred in predicates:
                 for o in list(by_pred.get(pred, ())):
@@ -369,19 +347,20 @@ class TripleStore:
                         yield Triple(subject, pred, o)
             return
         if predicate is not None:
-            by_obj = self._pos.get(predicate, {})
+            by_obj = self._pos.get(predicate, _NO_SLOT)
             objects = [obj] if obj is not None else list(by_obj)
             for o in objects:
                 for s in list(by_obj.get(o, ())):
                     yield Triple(s, predicate, o)
             return
         if obj is not None:
-            by_subj = self._osp.get(obj, {})
-            for s, preds in list(by_subj.items()):
-                for p in list(preds):
-                    yield Triple(s, p, obj)
+            yield from [
+                Triple(s, pred, obj)
+                for pred, by_obj in self._pos.items()
+                for s in by_obj.get(obj, ())
+            ]
             return
-        yield from list(self._triples)
+        yield from self._statements()
 
     def count_matching(
         self,
@@ -389,30 +368,34 @@ class TripleStore:
         predicate: Optional[IRI] = None,
         obj: Optional[Object] = None,
     ) -> int:
-        """Exact number of triples matching a pattern, in O(1).
+        """Exact number of triples matching a pattern, without
+        enumerating a single triple — the query planner's cardinality
+        estimator.
 
-        Every answer comes straight off index-level sizes or the
-        incrementally maintained per-position counters — no triple is
-        ever enumerated, which is what makes this usable as the query
-        planner's cardinality estimator.
+        Costs by shape: every pattern with a bound predicate reads one
+        slot's size or the per-predicate counter, O(1); a bound subject
+        without a predicate sums over that subject's predicates,
+        O(predicates of s); an object-only pattern looks the object up
+        under every predicate, O(predicates in the store); the unbound
+        pattern reads the size counter.
         """
-        if subject is not None and predicate is not None and obj is not None:
-            if not isinstance(predicate, IRI):
-                return 0
-            return 1 if Triple(subject, predicate, obj) in self._triples else 0
-        if subject is not None and predicate is not None:
-            return len(self._spo.get(subject, {}).get(predicate, ()))
-        if predicate is not None and obj is not None:
-            return len(self._pos.get(predicate, {}).get(obj, ()))
-        if subject is not None and obj is not None:
-            return len(self._osp.get(obj, {}).get(subject, ()))
         if subject is not None:
-            return self._subject_counts.get(subject, 0)
+            by_pred = self._spo.get(subject, _NO_SLOT)
+            if predicate is not None:
+                objs = by_pred.get(predicate, ())
+                if obj is not None:
+                    return 1 if obj in objs else 0
+                return len(objs)
+            if obj is not None:
+                return sum(1 for objs in by_pred.values() if obj in objs)
+            return sum(map(len, by_pred.values()))
         if predicate is not None:
+            if obj is not None:
+                return len(self._pos.get(predicate, _NO_SLOT).get(obj, ()))
             return self._predicate_counts.get(predicate, 0)
         if obj is not None:
-            return self._object_counts.get(obj, 0)
-        return len(self._triples)
+            return sum(len(by_obj.get(obj, ())) for by_obj in self._pos.values())
+        return self._size
 
     #: shared empty result for the *_set accessors below
     _EMPTY: AbstractSet = frozenset()
@@ -421,21 +404,32 @@ class TripleStore:
         """The objects of (subject, predicate, ?) as a set.
 
         Returns a live read-only view of the index — do not mutate; the
-        query planner's bind-joins intersect these directly.
+        query planner's bind-joins intersect these directly.  The view
+        stops following the store once its last object is removed.
         """
-        return self._spo.get(subject, {}).get(predicate) or self._EMPTY
+        return self._spo.get(subject, _NO_SLOT).get(predicate) or self._EMPTY
 
     def subject_set(self, predicate: IRI, obj: Object) -> AbstractSet[Subject]:
-        """The subjects of (?, predicate, object) as a set (read-only)."""
-        return self._pos.get(predicate, {}).get(obj) or self._EMPTY
+        """The subjects of (?, predicate, object) as a set (a live
+        read-only view, like :meth:`object_set`)."""
+        return self._pos.get(predicate, _NO_SLOT).get(obj) or self._EMPTY
 
     def predicate_set(self, subject: Subject, obj: Object) -> AbstractSet[IRI]:
-        """The predicates of (subject, ?, object) as a set (read-only)."""
-        return self._osp.get(obj, {}).get(subject) or self._EMPTY
+        """The predicates of (subject, ?, object) as a new set.
+
+        No index is keyed on (subject, object), so unlike the other
+        ``*_set`` accessors this is a fresh set, not a live view, built
+        in O(predicates of s).
+        """
+        return {
+            predicate
+            for predicate, objs in self._spo.get(subject, _NO_SLOT).items()
+            if obj in objs
+        }
 
     def objects(self, subject: Subject, predicate: IRI) -> List[Object]:
         """All objects of (subject, predicate, ?)."""
-        return list(self._spo.get(subject, {}).get(predicate, ()))
+        return list(self._spo.get(subject, _NO_SLOT).get(predicate, ()))
 
     def object(self, subject: Subject, predicate: IRI) -> Optional[Object]:
         """The single object of a functional property, or None.
@@ -453,7 +447,7 @@ class TripleStore:
 
     def subjects(self, predicate: IRI, obj: Object) -> List[Subject]:
         """All subjects of (?, predicate, object)."""
-        return list(self._pos.get(predicate, {}).get(obj, ()))
+        return list(self._pos.get(predicate, _NO_SLOT).get(obj, ()))
 
     def subjects_of_type(self, type_iri: Object) -> List[Subject]:
         from .vocabulary import RDF_TYPE
@@ -461,19 +455,19 @@ class TripleStore:
         return self.subjects(RDF_TYPE, type_iri)
 
     def predicates(self, subject: Subject, obj: Object) -> List[IRI]:
-        return list(self._osp.get(obj, {}).get(subject, ()))
+        """All predicates of (subject, ?, object)."""
+        return list(self.predicate_set(subject, obj))
 
     def describe(self, subject: Subject) -> Dict[IRI, List[Object]]:
         """All (predicate → objects) for one subject."""
         return {
             pred: sorted(objs, key=lambda o: str(o))
-            for pred, objs in self._spo.get(subject, {}).items()
-            if objs
+            for pred, objs in self._spo.get(subject, _NO_SLOT).items()
         }
 
     def snapshot(self) -> Set[Triple]:
         """An immutable copy of the current contents."""
-        return set(self._triples)
+        return set(self._statements())
 
     def __repr__(self) -> str:
-        return f"TripleStore(triples={len(self._triples)})"
+        return f"TripleStore(triples={self._size})"

@@ -21,16 +21,13 @@ class Triple:
             raise TypeError(
                 f"predicate must be an IRI, got {type(self.predicate).__name__}"
             )
-        object.__setattr__(
-            self, "_hash", hash((self.subject, self.predicate, self.object))
-        )
 
     def __hash__(self) -> int:
-        # every store insert hashes the triple at least twice (membership
-        # probe + set add); cache it once at construction
+        # the store indexes terms, never triples, so most triples are not
+        # hashed at all; the few put in sets (snapshots) cache it on first use
         try:
             return self._hash
-        except AttributeError:  # copied/unpickled around __init__
+        except AttributeError:
             value = hash((self.subject, self.predicate, self.object))
             object.__setattr__(self, "_hash", value)
             return value

@@ -238,7 +238,7 @@ class IntegrationBlackboard:
         return matrix
 
     def has_matrix(self, name: str) -> bool:
-        return name in self.matrix_names()
+        return schema_rdf.has_matrix(self.store, name)
 
     def matrix_names(self) -> List[str]:
         return schema_rdf.matrices_in_store(self.store)
@@ -353,7 +353,12 @@ class IntegrationBlackboard:
         return len(self.store)
 
     def __repr__(self) -> str:
+        # counts typed subjects and reads no name, so a malformed name
+        # cannot make it raise
+        count = self.store.count_matching
         return (
-            f"IntegrationBlackboard(schemas={len(self.schema_names())}, "
-            f"matrices={len(self.matrix_names())}, triples={len(self.store)})"
+            f"IntegrationBlackboard("
+            f"schemas={count(predicate=V.RDF_TYPE, obj=V.SCHEMA_CLASS)}, "
+            f"matrices={count(predicate=V.RDF_TYPE, obj=V.MATRIX_CLASS)}, "
+            f"triples={len(self.store)})"
         )

@@ -47,13 +47,15 @@ def strong_cells(
 ) -> List[Tuple[str, float]]:
     """Cells of a matrix whose confidence exceeds *threshold*.
 
-    Returns (cell IRI string, confidence), strongest first.
+    Returns (cell IRI string, confidence), strongest first and ties in
+    cell IRI order, so equal stores answer with equal lists whatever
+    order they were written in.
     """
     rows = [
         (str(binding[CELL]), float(binding[CONFIDENCE].to_python()))
         for binding in evaluate(store, strong_cells_query(matrix_name, threshold))
     ]
-    return sorted(rows, key=lambda r: -r[1])
+    return sorted(rows, key=lambda r: (-r[1], r[0]))
 
 
 def user_decided_cells_query(matrix_name: str) -> Query:

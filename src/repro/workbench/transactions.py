@@ -13,7 +13,6 @@ window.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable, List, Optional, Sequence, Tuple
 
 from ..core.errors import TransactionError
@@ -21,20 +20,25 @@ from ..rdf.store import TripleStore
 from ..rdf.triple import Triple
 from .events import EventBus
 
-
-@dataclass
-class _LogEntry:
-    added: bool
-    triple: Triple
+#: one store mutation's changes, as its batch listeners receive them
+_Batch = Sequence[Tuple[bool, Triple]]
 
 
 class Transaction:
-    """One open transaction window over a store (+ optional event bus)."""
+    """One open transaction window over a store (+ optional event bus).
+
+    The undo log holds the store's change batches as they arrive — one
+    list per mutation call, the list the store hands its batch
+    listeners, not one entry per triple — and is dropped when the window
+    commits or rolls back, so a finished transaction keeps no triple
+    alive.  :attr:`change_count` still reports the window's size.
+    """
 
     def __init__(self, store: TripleStore, bus: Optional[EventBus] = None) -> None:
         self._store = store
         self._bus = bus
-        self._log: List[_LogEntry] = []
+        self._log: List[_Batch] = []
+        self._changes = 0
         self._unsubscribe: Optional[Callable[[], None]] = None
         self._state = "open"
         # batch subscription: a bulk schema load inside the window costs
@@ -43,8 +47,9 @@ class Transaction:
         if bus is not None:
             bus.defer()
 
-    def _record_batch(self, changes: Sequence[Tuple[bool, Triple]]) -> None:
-        self._log.extend(_LogEntry(added, triple) for added, triple in changes)
+    def _record_batch(self, changes: _Batch) -> None:
+        self._log.append(changes)
+        self._changes += len(changes)
 
     @property
     def is_open(self) -> bool:
@@ -52,7 +57,8 @@ class Transaction:
 
     @property
     def change_count(self) -> int:
-        return len(self._log)
+        """Triple-level changes made inside the window so far."""
+        return self._changes
 
     def commit(self) -> int:
         """Make the changes permanent and deliver deferred events.
@@ -60,14 +66,14 @@ class Transaction:
         self._finish("committed")
         if self._bus is not None:
             self._bus.release(discard=False)
-        return len(self._log)
+        return self._changes
 
     def rollback(self) -> int:
         """Undo every change made inside this window and discard its
         deferred events.  Returns the number of changes undone."""
-        self._finish("rolled-back")
+        log = self._finish("rolled-back")
         # replay in reverse without re-recording; consecutive same-kind
-        # entries undo as one bulk mutation
+        # changes undo as one bulk mutation
         run: List[Triple] = []
         run_added: Optional[bool] = None
 
@@ -80,23 +86,27 @@ class Transaction:
                 self._store.add_many(run)
             run.clear()
 
-        for entry in reversed(self._log):
-            if run_added is not None and entry.added != run_added:
-                flush()
-            run_added = entry.added
-            run.append(entry.triple)
+        for batch in reversed(log):
+            for added, triple in reversed(batch):
+                if run_added is not None and added != run_added:
+                    flush()
+                run_added = added
+                run.append(triple)
         flush()
         if self._bus is not None:
             self._bus.release(discard=True)
-        return len(self._log)
+        return self._changes
 
-    def _finish(self, state: str) -> None:
+    def _finish(self, state: str) -> List[_Batch]:
+        """Close the window; returns the undo log, which it stops holding."""
         if self._state != "open":
             raise TransactionError(f"transaction already {self._state}")
         self._state = state
         if self._unsubscribe is not None:
             self._unsubscribe()
             self._unsubscribe = None
+        log, self._log = self._log, []
+        return log
 
     # -- context-manager sugar: commit on success, rollback on exception -----
 

@@ -12,6 +12,12 @@ P = IRI("http://x/p")
 Q = IRI("http://x/q")
 
 
+def _index_slots(store: TripleStore) -> int:
+    """Keys at both levels of the store's SPO and POS indexes."""
+    return sum(1 + len(inner) for index in (store._spo, store._pos)
+               for inner in index.values())
+
+
 @pytest.fixture
 def store() -> TripleStore:
     s = TripleStore()
@@ -47,9 +53,48 @@ class TestMutation:
         store.clear()
         assert len(store) == 0
 
+    def test_removal_prunes_emptied_index_slots(self, store):
+        """Adding and then removing N distinct statements returns both
+        indexes to their size — including a functional property whose
+        value keeps changing, as a cell's confidence does."""
+        before = _index_slots(store)
+        fresh = [Triple(IRI(f"http://x/s{i}"), P, literal(i)) for i in range(30)]
+        store.add_many(fresh)
+        for i in range(30):
+            store.add(A, IRI(f"http://x/p{i}"), literal(i))
+        store.remove_many(fresh)
+        for i in range(30):
+            store.remove(A, IRI(f"http://x/p{i}"), literal(i))
+        for i in range(40):
+            store.set_value(A, Q, literal(i / 40))
+        store.set_value(A, Q, literal("hello"))
+        assert _index_slots(store) == before
+
     def test_predicate_must_be_iri(self):
         with pytest.raises(TypeError):
             Triple(A, literal("x"), B)
+
+
+class TestBulkLoad:
+    def test_same_store_as_add_many(self, store):
+        triples = list(store)
+        loaded = TripleStore()
+        assert loaded.bulk_load(triples) == 4
+        assert loaded.snapshot() == store.snapshot()
+        assert loaded.revision == 4
+        assert loaded.count_matching(predicate=P) == 3
+        assert _index_slots(loaded) == _index_slots(store)
+
+    def test_duplicates_raise_and_leave_the_store_as_it_was(self):
+        store = TripleStore()
+        store.add(A, P, B)
+        store.remove(A, P, B)
+        with pytest.raises(StoreError):
+            store.bulk_load([Triple(A, P, B), Triple(A, P, C), Triple(A, P, B)])
+        assert len(store) == 0
+        assert store.revision == 2
+        assert _index_slots(store) == 0
+        assert store.count_matching(predicate=P) == 0
 
 
 class TestPatternMatching:

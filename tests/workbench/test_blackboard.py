@@ -3,9 +3,10 @@
 import pytest
 
 from repro.core import MappingMatrix, StoreError
-from repro.rdf import literal, schema_iri
+from repro.harmony import EngineConfig, HarmonyEngine
+from repro.rdf import literal, matrix_iri, schema_iri
 from repro.rdf import vocabulary as V
-from repro.workbench import IntegrationBlackboard
+from repro.workbench import IntegrationBlackboard, MatcherTool, WorkbenchManager
 
 
 class TestSchemas:
@@ -99,6 +100,48 @@ class TestMatrices:
         blackboard.remove_matrix(figure3_matrix.name)
         assert blackboard.matrix_names() == []
         assert len(blackboard.store) == 0
+
+    def test_has_matrix_ignores_a_corrupted_neighbour(
+            self, purchase_order_graph, shipping_notice_graph, figure3_matrix):
+        """A second ``iw:name`` on matrix "b" makes listing every matrix
+        raise; finding matrix "po->sn" and matching into it read only
+        its own triples, so both still work."""
+        manager = WorkbenchManager()
+        manager.register(MatcherTool(HarmonyEngine(config=EngineConfig.fast())))
+        blackboard = manager.blackboard
+        blackboard.put_schema(purchase_order_graph)
+        blackboard.put_schema(shipping_notice_graph)
+        manager.invoke("harmony", source_schema="po", target_schema="sn")
+        neighbour = figure3_matrix.copy()
+        neighbour.name = "b"
+        blackboard.put_matrix(neighbour)
+        blackboard.store.add(matrix_iri("b"), V.NAME, literal("b-too"))
+        with pytest.raises(StoreError):
+            blackboard.matrix_names()
+
+        assert blackboard.has_matrix("po->sn")
+        assert not blackboard.has_matrix("nowhere")
+        matrix = manager.invoke("harmony", source_schema="po", target_schema="sn")
+        assert matrix.cell_count() == blackboard.get_matrix("po->sn").cell_count()
+
+    def test_repr_ignores_corrupted_names(
+            self, purchase_order_graph, shipping_notice_graph, figure3_matrix):
+        """repr counts typed subjects and reads no name, so a schema and a
+        matrix with two names each cannot make it raise."""
+        blackboard = IntegrationBlackboard()
+        blackboard.put_schema(purchase_order_graph)
+        blackboard.put_schema(shipping_notice_graph)
+        blackboard.put_matrix(figure3_matrix)
+        blackboard.store.add(schema_iri("sn"), V.NAME, literal("sn-too"))
+        blackboard.store.add(
+            matrix_iri(figure3_matrix.name), V.NAME, literal("other"))
+        with pytest.raises(StoreError):
+            blackboard.schema_names()
+        with pytest.raises(StoreError):
+            blackboard.matrix_names()
+        assert repr(blackboard) == (
+            f"IntegrationBlackboard(schemas=2, matrices=1, "
+            f"triples={len(blackboard.store)})")
 
 
 class TestFocus:

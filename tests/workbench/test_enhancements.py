@@ -26,6 +26,25 @@ class TestCannedQueries:
         assert len(rows) == 4  # the 0.8 suggestion plus three accepted +1 cells
         assert rows[0][1] == 1.0  # sorted strongest first
 
+    def test_strong_cells_order_is_total(self):
+        """Ties are listed by cell IRI, so two stores holding the same
+        cells, written in different orders, return identical lists."""
+        cells = [(f"s/e{i}", f"t/e{i}", 0.8) for i in range(6)]
+        cells.append(("s/e0", "t/e1", 0.9))
+        answers = []
+        for order in (cells, cells[::-1]):
+            matrix = MappingMatrix("m")
+            for source_id, target_id, _ in order:
+                matrix.add_row(source_id)
+                matrix.add_column(target_id)
+            matrix.set_cells(order)
+            blackboard = IntegrationBlackboard()
+            blackboard.put_matrix(matrix)
+            answers.append(strong_cells(blackboard.store, "m"))
+        assert answers[0] == answers[1]
+        assert [confidence for _, confidence in answers[0]] == [0.9] + [0.8] * 6
+        assert answers[0] == sorted(answers[0], key=lambda row: (-row[1], row[0]))
+
     def test_user_decided_cells(self, figure3_matrix):
         blackboard = IntegrationBlackboard()
         blackboard.put_matrix(figure3_matrix)
