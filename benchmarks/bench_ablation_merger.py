@@ -11,35 +11,46 @@ abstention-adjacent ones, and max-wins.  Same voters, same flooding, only
 the merger changes.
 """
 
-from typing import Iterable, List
+from typing import Dict, List, Sequence
 
 import pytest
 
-from repro.core import VoterScore
 from repro.eval import evaluate_matrix, standard_suite
 from repro.harmony import HarmonyEngine, VoteMerger
+from repro.harmony.merger import Column, Pair
+
+
+def _cast_rows(pairs: Sequence[Pair], columns: Sequence[Column]):
+    """Each pair with its cast (non-zero) votes, in voter order; pairs
+    nobody voted on are skipped, as the default merger skips them."""
+    for pair, row in zip(pairs, zip(*[scores for _, scores in columns])):
+        cast = [score for score in row if score]
+        if cast:
+            yield pair, cast
 
 
 class PlainAverageMerger(VoteMerger):
     """Ignores magnitudes: every cast vote counts equally."""
 
-    def merge_pair(self, votes: Iterable[VoterScore]) -> float:
-        votes = list(votes)
-        if not votes:
-            return 0.0
-        mean = sum(v.score for v in votes) / len(votes)
-        return max(-0.99, min(0.99, mean))
+    def merge_columns(
+        self, pairs: Sequence[Pair], columns: Sequence[Column]
+    ) -> Dict[Pair, float]:
+        return {
+            pair: max(-0.99, min(0.99, sum(cast) / len(cast)))
+            for pair, cast in _cast_rows(pairs, columns)
+        }
 
 
 class MaxWinsMerger(VoteMerger):
     """The single most extreme vote decides."""
 
-    def merge_pair(self, votes: Iterable[VoterScore]) -> float:
-        votes = list(votes)
-        if not votes:
-            return 0.0
-        extreme = max(votes, key=lambda v: v.magnitude)
-        return max(-0.99, min(0.99, extreme.score))
+    def merge_columns(
+        self, pairs: Sequence[Pair], columns: Sequence[Column]
+    ) -> Dict[Pair, float]:
+        return {
+            pair: max(-0.99, min(0.99, max(cast, key=abs)))
+            for pair, cast in _cast_rows(pairs, columns)
+        }
 
 
 MERGERS = {

@@ -74,11 +74,13 @@ class MappingMatrix:
         """Create a matrix with one row per source element and one column per
         target element (excluding the root SCHEMA nodes)."""
         matrix = cls(name or f"{source.name}->{target.name}")
+        source_root = source.root.element_id
         for element in source:
-            if element.element_id != source.root.element_id:
+            if element.element_id != source_root:
                 matrix.add_row(element.element_id, schema_name=source.name)
+        target_root = target.root.element_id
         for element in target:
-            if element.element_id != target.root.element_id:
+            if element.element_id != target_root:
                 matrix.add_column(element.element_id, schema_name=target.name)
         return matrix
 

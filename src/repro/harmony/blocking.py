@@ -253,8 +253,8 @@ class CandidateBlocker:
         """The blocking keys of one element (namespaced, see module doc)."""
         config = self.config
         keys: Set[str] = set()
-        name_tokens = context.name_tokens(graph, element)
-        for token in name_tokens:
+        features = context.features(graph, element)
+        for token in features.name_tokens:
             keys.add(f"n:{token}")
             if config.index_synonyms:
                 for synonym in context.thesaurus.synonyms(token):
@@ -266,12 +266,10 @@ class CandidateBlocker:
             for term in context.corpus.terms(doc_id):
                 keys.add(f"d:{term}")
         if config.index_parents:
-            parent = graph.parent(element.element_id)
-            if parent is not None and parent.element_id != graph.root.element_id:
-                for token in context.name_tokens(graph, parent):
-                    keys.add(f"p:{token}")
+            for token in features.parent_tokens:
+                keys.add(f"p:{token}")
         if config.index_leaves and element.kind in CONTAINER_KINDS:
-            for token in context.leaf_tokens(graph, element):
+            for token in features.leaf_tokens:
                 keys.add(f"l:{token}")
         return keys
 

@@ -20,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
-from ..core.correspondence import VoterScore
+from ..core.correspondence import VoterScore, validate_confidence
 from ..core.elements import SchemaElement
 from ..core.graph import SchemaGraph
 from ..core.matrix import MappingMatrix
@@ -43,7 +43,7 @@ from .flooding import (
     directional_flooding_compiled,
 )
 from .learning import decisions_from_matrix, update_merger_weights, update_word_weights
-from .merger import MergeResult, VoteMerger
+from .merger import Column, VoteMerger
 from .voters import MatchContext, MatchVoter, default_voters
 
 Pair = Tuple[str, str]
@@ -136,8 +136,10 @@ class MatchRun:
     """Everything one engine invocation produced (per-stage, for Figure 1)."""
 
     context: MatchContext
-    votes: List[VoterScore]
-    merged: List[MergeResult]
+    #: the scored candidate pairs as (source id, target id)
+    pairs: List[Pair]
+    #: one (voter name, scores) column per voter, aligned with ``pairs``
+    columns: List[Column]
     pre_flooding: Dict[Pair, float]
     post_flooding: Dict[Pair, float]
     matrix: MappingMatrix
@@ -146,6 +148,12 @@ class MatchRun:
     #: whether this run reused the previous run's MatchContext
     reused_context: bool = False
 
+    @property
+    def votes(self) -> List[VoterScore]:
+        """Every cast (non-zero) vote, pair by pair in voter order; built
+        from the columns on each read."""
+        return votes_on(self.pairs, self.columns)
+
     def stage_summary(self) -> List[str]:
         """Human-readable per-stage trace (the Figure-1 bench prints this)."""
         changed = sum(
@@ -153,6 +161,7 @@ class MatchRun:
             for pair, value in self.post_flooding.items()
             if abs(value - self.pre_flooding.get(pair, 0.0)) > 1e-9
         )
+        rows = list(zip(*[scores for _, scores in self.columns]))
         lines = [
             f"linguistic preprocessing: {len(self.context.corpus)} documented elements indexed",
         ]
@@ -164,14 +173,33 @@ class MatchRun:
             )
         lines.extend(
             [
-                f"match voters: {len(self.votes)} votes over "
-                f"{len({(v.source_id, v.target_id) for v in self.votes})} candidate pairs",
-                f"vote merger: {len(self.merged)} merged confidence scores",
+                f"match voters: {sum(sum(1 for s in row if s) for row in rows)} "
+                f"votes over {sum(1 for row in rows if any(row))} candidate pairs",
+                f"vote merger: {len(self.pre_flooding)} merged confidence scores",
                 f"similarity flooding: {changed} scores structurally adjusted",
                 f"mapping matrix: {self.matrix.cell_count()} cells populated",
             ]
         )
         return lines
+
+
+def votes_on(
+    pairs: Sequence[Pair],
+    columns: Sequence[Column],
+    only: Optional[Mapping[Pair, object]] = None,
+) -> List[VoterScore]:
+    """The cast votes of score *columns* over *pairs* as
+    :class:`VoterScore` objects, pair by pair in voter order; with
+    *only*, just the votes on pairs it contains."""
+    votes: List[VoterScore] = []
+    for index, pair in enumerate(pairs):
+        if only is not None and pair not in only:
+            continue
+        for name, scores in columns:
+            score = scores[index]
+            if score != 0.0:
+                votes.append(VoterScore(name, pair[0], pair[1], score))
+    return votes
 
 
 @dataclass
@@ -275,6 +303,14 @@ def evolution_closure(
     return closure
 
 
+def _checked(scores: List[float]) -> List[float]:
+    """*scores*, once every one is a legal confidence in [-1, +1]."""
+    if not all(-1.0 <= score <= 1.0 for score in scores):
+        for score in scores:
+            validate_confidence(score)
+    return scores
+
+
 class HarmonyEngine:
     """Bundles the voters, merger and flooding into one matcher."""
 
@@ -303,8 +339,9 @@ class HarmonyEngine:
         #: built by this engine serve element vectors from it instead of
         #: re-hashing — the same floats, so bit-identical
         self.embedding_snapshot = embedding_snapshot
-        #: votes from the most recent run, kept for feedback learning
-        self._last_votes: List[VoterScore] = []
+        #: the most recent run's pairs and score columns, kept for
+        #: feedback learning
+        self._last_scores: Tuple[List[Pair], List[Column]] = ([], [])
         self._last_context: Optional[MatchContext] = None
         #: how many MatchContexts this engine has built (a cache-hit
         #: counter for the refinement-loop reuse path; tests assert on it)
@@ -374,10 +411,11 @@ class HarmonyEngine:
             pair: value for pair, value in decisions.items()
             if pair not in self._consumed_decisions
         }
-        if fresh_decisions and self._last_votes:
+        if fresh_decisions:
+            # the votes on the decided pairs, in the order the run cast them
             update_merger_weights(
-                self.merger, self._last_votes, fresh_decisions,
-                learning_rate=self.config.learning_rate,
+                self.merger, votes_on(*self._last_scores, only=fresh_decisions),
+                fresh_decisions, learning_rate=self.config.learning_rate,
             )
         if fresh_decisions and self.config.learn_word_weights:
             update_word_weights(context.corpus, context, fresh_decisions)
@@ -402,12 +440,10 @@ class HarmonyEngine:
         else:
             candidate_pairs = context.candidate_pairs()
 
-        votes = self._score_pairs(candidate_pairs, context, use_cache=reused)
-
-        merged = self.merger.merge(votes)
-        pre_flooding: Dict[Pair, float] = {
-            (m.source_id, m.target_id): m.confidence for m in merged
-        }
+        pairs = [(s.element_id, t.element_id) for s, t in candidate_pairs]
+        columns = self._score_columns(
+            candidate_pairs, pairs, context, use_cache=reused)
+        pre_flooding = self.merger.merge_columns(pairs, columns)
         post_flooding = self._flood(source, target, pre_flooding, decisions)
 
         row_ids = set(matrix.row_ids)
@@ -420,12 +456,12 @@ class HarmonyEngine:
             and source_id in row_ids and target_id in column_ids
         )
 
-        self._last_votes = votes
+        self._last_scores = (pairs, columns)
         self._last_context = context
         return MatchRun(
             context=context,
-            votes=votes,
-            merged=merged,
+            pairs=pairs,
+            columns=columns,
             pre_flooding=pre_flooding,
             post_flooding=post_flooding,
             matrix=matrix,
@@ -486,7 +522,7 @@ class HarmonyEngine:
         target_delta: GraphDelta,
     ) -> None:
         """Patch every warm cache for an evolution from the context's
-        graphs to *source* / *target*: token caches and TF-IDF documents
+        graphs to *source* / *target*: feature records and TF-IDF documents
         for exactly the evolution closure (changed elements, their
         containment ancestors/descendants, has-domain referrers), the
         voter scores touching it, and the dirty sets of the compiled
@@ -504,9 +540,11 @@ class HarmonyEngine:
         stale_target = target_closure | target_delta.removed
         if stale_source or stale_target:
             context.score_cache = {
-                key: value
-                for key, value in context.score_cache.items()
-                if key[1] not in stale_source and key[2] not in stale_target
+                name: {
+                    pair: score for pair, score in scores.items()
+                    if pair[0] not in stale_source and pair[1] not in stale_target
+                }
+                for name, scores in context.score_cache.items()
             }
         if self._flooding_state is not None:
             self._flooding_state.note_evolution(
@@ -526,17 +564,21 @@ class HarmonyEngine:
 
     # -- voter scoring ------------------------------------------------------
 
-    def _score_pairs(
+    def _score_columns(
         self,
-        pairs: Sequence[CandidatePair],
+        candidates: Sequence[CandidatePair],
+        pairs: List[Pair],
         context: MatchContext,
         use_cache: bool = False,
-    ) -> List[VoterScore]:
-        """Score candidate pairs with every voter.
+    ) -> List[Column]:
+        """One score column per voter over the candidate pairs (*pairs*
+        holds their ids).
 
-        When *use_cache* is set (context reused across refinement rounds)
-        previously computed scores are reused; entries from voters whose
-        inputs changed (word-weight learning) are invalidated first.
+        With ``reuse_context`` each voter's scores are kept per pair on
+        the context, and a reused context only scores the pairs its
+        columns lack; columns of voters whose inputs changed (word-weight
+        learning) are dropped first.  A score outside [-1, +1] raises
+        :class:`~repro.core.errors.MappingError`.
         """
         if use_cache:
             self._invalidate_stale_scores(context)
@@ -546,32 +588,28 @@ class HarmonyEngine:
         # word-weight revision (Section 4.3 learning) *and* the document
         # revision (incremental rematch adds/removes/replaces documents,
         # which moves every IDF)
-        context._score_cache_corpus_rev = (
+        context.score_cache_corpus_rev = (
             context.corpus.weights_revision,
             context.corpus.revision,
         )
-        cache = context.score_cache if self.config.reuse_context else None
-        votes: List[VoterScore] = []
-        for source_el, target_el in pairs:
-            for voter in self.voters:
-                if cache is not None:
-                    key = (voter.name, source_el.element_id, target_el.element_id)
-                    score = cache.get(key)
-                    if score is None:
-                        score = voter.score(source_el, target_el, context)
-                        cache[key] = score
-                else:
-                    score = voter.score(source_el, target_el, context)
-                if score != 0.0:
-                    votes.append(
-                        VoterScore(
-                            voter=voter.name,
-                            source_id=source_el.element_id,
-                            target_id=target_el.element_id,
-                            score=score,
-                        )
-                    )
-        return votes
+        reuse = self.config.reuse_context
+        columns: List[Column] = []
+        for voter in self.voters:
+            known = context.score_cache.get(voter.name) if reuse else None
+            if not known:
+                column = _checked(voter.score_pairs(candidates, context))
+                if reuse:
+                    context.score_cache[voter.name] = dict(zip(pairs, column))
+            else:
+                missing = [i for i, pair in enumerate(pairs) if pair not in known]
+                if missing:
+                    fresh = _checked(voter.score_pairs(
+                        [candidates[i] for i in missing], context))
+                    for i, score in zip(missing, fresh):
+                        known[pairs[i]] = score
+                column = [known[pair] for pair in pairs]
+            columns.append((voter.name, column))
+        return columns
 
     def _invalidate_stale_scores(self, context: MatchContext) -> None:
         """Drop cached scores whose inputs changed since the last run.
@@ -582,16 +620,11 @@ class HarmonyEngine:
         ``revision`` — adding or removing a document moves every IDF);
         only voters that declare ``uses_word_weights`` pay the re-score.
         """
-        cached_rev = getattr(context, "_score_cache_corpus_rev", None)
         current_rev = (context.corpus.weights_revision, context.corpus.revision)
-        if cached_rev != current_rev:
-            stale = {v.name for v in self.voters if v.uses_word_weights}
-            if stale:
-                context.score_cache = {
-                    key: value
-                    for key, value in context.score_cache.items()
-                    if key[0] not in stale
-                }
+        if context.score_cache_corpus_rev != current_rev:
+            for voter in self.voters:
+                if voter.uses_word_weights:
+                    context.score_cache.pop(voter.name, None)
 
     # -- flooding dispatch ---------------------------------------------------------
 

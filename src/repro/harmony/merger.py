@@ -20,8 +20,7 @@ voters are discounted across the board.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Mapping, Optional
+from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 from ..core.correspondence import VoterScore, clamp_confidence
 
@@ -30,25 +29,21 @@ from ..core.correspondence import VoterScore, clamp_confidence
 MIN_WEIGHT = 0.05
 MAX_WEIGHT = 4.0
 
+Pair = Tuple[str, str]
+#: one voter's scores over a candidate list: (voter name, scores)
+Column = Tuple[str, Sequence[float]]
 
-@dataclass
-class MergeResult:
-    """The merged confidence for one pair, with its provenance."""
-
-    source_id: str
-    target_id: str
-    confidence: float
-    votes: List[VoterScore] = field(default_factory=list)
-
-    def vote_of(self, voter_name: str) -> Optional[VoterScore]:
-        for vote in self.votes:
-            if vote.voter == voter_name:
-                return vote
-        return None
+#: the pair key :meth:`VoteMerger.merge_pair` merges its votes under
+_ONE_PAIR: Pair = ("", "")
 
 
 class VoteMerger:
-    """Magnitude- and performance-weighted vote combination."""
+    """Magnitude- and performance-weighted vote combination.
+
+    :meth:`merge_columns` is the one merge rule: the engine calls it,
+    and :meth:`merge_pair` / :meth:`merge` run per-vote objects through
+    it, so a subclass changes the rule by overriding it alone.
+    """
 
     def __init__(self, weights: Optional[Mapping[str, float]] = None) -> None:
         self.weights: Dict[str, float] = dict(weights or {})
@@ -62,34 +57,45 @@ class VoteMerger:
     def scale_weight(self, voter_name: str, factor: float) -> None:
         self.set_weight(voter_name, self.weight_of(voter_name) * factor)
 
+    def merge_columns(
+        self, pairs: Sequence[Pair], columns: Sequence[Column]
+    ) -> Dict[Pair, float]:
+        """Merge one score column per voter into one confidence per pair.
+
+        Each column's scores align with *pairs*; a 0 score abstains.
+        Pairs on which every voter abstains get no confidence, and the
+        rest keep the order of *pairs*.
+        """
+        weights = [self.weight_of(name) for name, _ in columns]
+        merged: Dict[Pair, float] = {}
+        for pair, row in zip(pairs, zip(*[scores for _, scores in columns])):
+            if not any(row):
+                continue
+            numerator = 0.0
+            denominator = 0.0
+            for weight, score in zip(weights, row):
+                effective = weight * abs(score)
+                numerator += effective * score
+                denominator += effective
+            if denominator == 0.0:
+                merged[pair] = 0.0
+                continue
+            # The merged score is machine-generated, so it must stay
+            # strictly inside (-1, +1): ±1 is reserved for user decisions
+            # (Section 5.1.2).
+            merged[pair] = clamp_confidence(
+                max(-0.99, min(0.99, numerator / denominator)))
+        return merged
+
     def merge_pair(self, votes: Iterable[VoterScore]) -> float:
         """Merge one pair's votes into a single confidence."""
-        numerator = 0.0
-        denominator = 0.0
-        for vote in votes:
-            effective = self.weight_of(vote.voter) * vote.magnitude
-            numerator += effective * vote.score
-            denominator += effective
-        if denominator == 0.0:
-            return 0.0
-        merged = numerator / denominator
-        # The merged score is machine-generated, so it must stay strictly
-        # inside (-1, +1): ±1 is reserved for user decisions (Section 5.1.2).
-        return clamp_confidence(max(-0.99, min(0.99, merged)))
+        merged = self.merge_columns(
+            [_ONE_PAIR], [(vote.voter, (vote.score,)) for vote in votes])
+        return merged.get(_ONE_PAIR, 0.0)
 
-    def merge(self, votes: Iterable[VoterScore]) -> List[MergeResult]:
-        """Group votes by pair and merge each group."""
-        grouped: Dict[tuple, List[VoterScore]] = {}
+    def merge(self, votes: Iterable[VoterScore]) -> Dict[Pair, float]:
+        """Group votes by pair and merge each group: pair → confidence."""
+        grouped: Dict[Pair, List[VoterScore]] = {}
         for vote in votes:
             grouped.setdefault((vote.source_id, vote.target_id), []).append(vote)
-        results = []
-        for (source_id, target_id), pair_votes in grouped.items():
-            results.append(
-                MergeResult(
-                    source_id=source_id,
-                    target_id=target_id,
-                    confidence=self.merge_pair(pair_votes),
-                    votes=pair_votes,
-                )
-            )
-        return results
+        return {pair: self.merge_pair(group) for pair, group in grouped.items()}

@@ -596,8 +596,9 @@ def cluster_elements(
     by_name = {graph.name: graph for graph in schemas}
     uf = _UnionFind()
     for graph in schemas:
+        root = graph.root.element_id
         for element in graph:
-            if element.element_id == graph.root.element_id:
+            if element.element_id == root:
                 continue
             if element.kind in (ElementKind.KEY, ElementKind.DOMAIN_VALUE):
                 continue

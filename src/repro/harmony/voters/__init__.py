@@ -3,7 +3,14 @@
 from typing import List
 
 from .acronym import AcronymVoter, is_acronym_of
-from .base import MatchContext, MatchVoter, calibrate, kinds_comparable
+from .base import (
+    ColumnVoter,
+    ElementFeatures,
+    MatchContext,
+    MatchVoter,
+    calibrate,
+    kinds_comparable,
+)
 from .datatype import DatatypeVoter
 from .documentation import DocumentationVoter
 from .domain_values import DomainValueVoter
@@ -45,9 +52,11 @@ def default_voters(
 
 __all__ = [
     "AcronymVoter",
+    "ColumnVoter",
     "DatatypeVoter",
     "DocumentationVoter",
     "DomainValueVoter",
+    "ElementFeatures",
     "EmbeddingVoter",
     "InstanceVoter",
     "MatchContext",

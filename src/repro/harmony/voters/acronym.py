@@ -9,18 +9,16 @@ character sequence, matches the initial letters of the other's tokens
 
 from __future__ import annotations
 
-from typing import List
+from typing import List, Sequence
 
-from ...core.elements import SchemaElement
-from ...text.tokenize import split_identifier
-from .base import MatchContext, MatchVoter
+from .base import CandidatePair, ColumnVoter, MatchContext
 
 
-def _initials(tokens: List[str]) -> str:
+def _initials(tokens: Sequence[str]) -> str:
     return "".join(t[0] for t in tokens if t and t[0].isalpha())
 
 
-def is_acronym_of(short: str, tokens: List[str]) -> bool:
+def is_acronym_of(short: str, tokens: Sequence[str]) -> bool:
     """Is *short* the initialism of *tokens* (exactly, or as a prefix of a
     longer token list)?"""
     short = short.lower()
@@ -30,34 +28,42 @@ def is_acronym_of(short: str, tokens: List[str]) -> bool:
     return initials == short or (len(short) >= 3 and initials.startswith(short))
 
 
-class AcronymVoter(MatchVoter):
+class AcronymVoter(ColumnVoter):
     name = "acronym"
 
-    def score(self, source: SchemaElement, target: SchemaElement, context: MatchContext) -> float:
-        tokens_a = split_identifier(source.name)
-        tokens_b = split_identifier(target.name)
-        # single-token name on one side, multi-token on the other
-        for short_tokens, long_tokens in ((tokens_a, tokens_b), (tokens_b, tokens_a)):
-            if len(short_tokens) == 1 and len(long_tokens) >= 2:
-                if is_acronym_of(short_tokens[0], long_tokens):
-                    return 0.7
-        # composite: greedily align short tokens against the long token list,
-        # letting each short token be an initialism of several long tokens
-        # (po ↔ purchase order) or a prefix (num ↔ number)
-        for short_tokens, long_tokens in ((tokens_a, tokens_b), (tokens_b, tokens_a)):
-            if 1 < len(short_tokens) < len(long_tokens):
-                if _greedy_align(short_tokens, long_tokens):
-                    return 0.6
-        if 1 < len(tokens_a) == len(tokens_b):
-            if all(
-                a == b or (len(a) >= 2 and b.startswith(a)) or (len(b) >= 2 and a.startswith(b))
-                for a, b in zip(tokens_a, tokens_b)
-            ):
-                return 0.5
-        return 0.0
+    def score_pairs(
+        self, pairs: Sequence[CandidatePair], context: MatchContext
+    ) -> List[float]:
+        return [
+            _acronym_score(fs.acronym_tokens, ft.acronym_tokens)
+            for fs, ft in context.pair_features(pairs)
+        ]
 
 
-def _greedy_align(short_tokens: List[str], long_tokens: List[str]) -> bool:
+def _acronym_score(tokens_a: Sequence[str], tokens_b: Sequence[str]) -> float:
+    """The acronym vote for two names' identifier tokens."""
+    # single-token name on one side, multi-token on the other
+    for short_tokens, long_tokens in ((tokens_a, tokens_b), (tokens_b, tokens_a)):
+        if len(short_tokens) == 1 and len(long_tokens) >= 2:
+            if is_acronym_of(short_tokens[0], long_tokens):
+                return 0.7
+    # composite: greedily align short tokens against the long token list,
+    # letting each short token be an initialism of several long tokens
+    # (po ↔ purchase order) or a prefix (num ↔ number)
+    for short_tokens, long_tokens in ((tokens_a, tokens_b), (tokens_b, tokens_a)):
+        if 1 < len(short_tokens) < len(long_tokens):
+            if _greedy_align(short_tokens, long_tokens):
+                return 0.6
+    if 1 < len(tokens_a) == len(tokens_b):
+        if all(
+            a == b or (len(a) >= 2 and b.startswith(a)) or (len(b) >= 2 and a.startswith(b))
+            for a, b in zip(tokens_a, tokens_b)
+        ):
+            return 0.5
+    return 0.0
+
+
+def _greedy_align(short_tokens: Sequence[str], long_tokens: Sequence[str]) -> bool:
     """Can every short token be consumed against the long token list, as
     either an initialism of ≥2 consecutive long tokens or a prefix of one?"""
     position = 0

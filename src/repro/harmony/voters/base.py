@@ -9,13 +9,15 @@ complete uncertainty."*
 
 Voters share a :class:`MatchContext` holding the two schema graphs, the
 linguistic resources (thesaurus, TF-IDF corpus over all documentation) and
-per-element token caches, so each voter stays small and stateless.
+one :class:`ElementFeatures` record per element, so each voter stays
+small and stateless.  The built-in voters score a whole candidate column
+per call (:class:`ColumnVoter`) from those records.
 """
 
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from typing import Dict, FrozenSet, List, Optional, Tuple
+from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 from ...core.elements import CONTAINER_KINDS, ElementKind, SchemaElement
 from ...core.graph import SchemaGraph
@@ -26,7 +28,113 @@ from ...text.stopwords import remove_stop_words
 from ...text.tfidf import CorpusSnapshot, TfIdfCorpus, preprocess
 from ...text.tfidf_sparse import SparseTfIdf
 from ...text.thesaurus import Thesaurus
-from ...text.tokenize import ngrams, split_identifier, word_tokens
+from ...text.tokenize import ngrams, split_identifier
+
+CandidatePair = Tuple[SchemaElement, SchemaElement]
+
+
+class ElementFeatures:
+    """Everything the built-in voters, the blocking keys and the
+    embedding read about one element, computed once per context.
+
+    Each field is a pure function of the element, its graph and the
+    thesaurus, so a record stays valid until a schema evolution touches
+    the element's closure (:meth:`MatchContext.patch_side` drops it).
+    """
+
+    __slots__ = (
+        "lower",
+        "name_tokens",
+        "name_keys",
+        "path_keys",
+        "leaf_tokens",
+        "synonym_sets",
+        "synonym_keys",
+        "acronym_tokens",
+        "codes",
+        "doc",
+        "parent_tokens",
+        "embedding",
+    )
+
+    def __init__(
+        self, context: "MatchContext", graph: SchemaGraph, element: SchemaElement
+    ) -> None:
+        name = element.name
+        thesaurus = context.thesaurus
+        split = split_identifier(name)
+        #: the name, lowercased (the name voter's exact-match test)
+        self.lower = name.lower()
+        expanded: List[str] = []
+        for token in split:
+            expansion = thesaurus.expand_abbreviation(token)
+            expanded.extend(split_identifier(expansion) or [expansion])
+        #: stemmed, stop-word-free, abbreviation-expanded name tokens
+        self.name_tokens: Tuple[str, ...] = tuple(
+            stem_all(remove_stop_words(expanded)) or expanded)
+        #: the same, as Monge-Elkan keys (``kernels.token_keys``)
+        self.name_keys = kernels.token_keys(self.name_tokens)
+        #: stemmed tokens of the root-to-element name path (root excluded)
+        path: List[str] = []
+        for part in graph.path(element.element_id)[1:]:
+            path.extend(stem(t) for t in split_identifier(part))
+        self.path_keys = kernels.token_keys(path)
+        #: stemmed name tokens of the leaf descendants (element excluded)
+        leaves = set()
+        for descendant in graph.subtree(element.element_id):
+            if descendant.element_id == element.element_id:
+                continue
+            if not graph.children(descendant.element_id):
+                for token in split_identifier(descendant.name):
+                    leaves.add(stem(token))
+        self.leaf_tokens: FrozenSet[str] = frozenset(leaves)
+        #: thesaurus tokens (abbreviation-expanded, non-numeric name
+        #: tokens): each one's synonym set, and the set of their
+        #: expansions.  ``Thesaurus.are_synonyms(x, y)`` holds exactly
+        #: when ``y``'s expansion is in ``x``'s synonym set
+        tokens = [thesaurus.expand_abbreviation(token) for token in split]
+        tokens = [token for token in tokens if not token.isdigit()]
+        self.synonym_sets = tuple(
+            frozenset(thesaurus.synonyms(token)) for token in tokens)
+        self.synonym_keys = frozenset(
+            thesaurus.expand_abbreviation(token) for token in tokens)
+        self.acronym_tokens: Tuple[str, ...] = tuple(split)
+        self.codes = _domain_codes(graph, element)
+        #: TF-IDF document id, ``None`` when the element is undocumented
+        self.doc = (
+            context.doc_id(graph, element) if element.has_documentation else None)
+        #: the containment parent's name tokens, empty under the root
+        parent = graph.parent(element.element_id)
+        self.parent_tokens: Tuple[str, ...] = (
+            context.features(graph, parent).name_tokens
+            if parent is not None
+            and parent.element_id != context.root_id(graph)
+            else ())
+        #: the hash-projection vector, filled by ``MatchContext.embedding_of``
+        self.embedding: Optional[List[float]] = None
+
+
+def _domain_codes(graph: SchemaGraph, element: SchemaElement) -> Optional[FrozenSet[str]]:
+    """The value-code set behind an element, if it has one: a DOMAIN's
+    value codes, an ATTRIBUTE's ``has-domain`` codes or, failing that,
+    its ``instance_values`` annotation."""
+    if element.kind is ElementKind.DOMAIN:
+        domain = element
+    elif element.kind is ElementKind.ATTRIBUTE:
+        domain = graph.domain_of(element.element_id)
+        if domain is None:
+            values = element.annotation("instance_values")
+            if values:
+                return frozenset(str(v).strip().lower() for v in values)
+            return None
+    else:
+        return None
+    codes = frozenset(
+        child.name.strip().lower()
+        for child in graph.children(domain.element_id)
+        if child.kind is ElementKind.DOMAIN_VALUE
+    )
+    return codes or None
 
 
 class MatchContext:
@@ -62,26 +170,29 @@ class MatchContext:
         #: either corpus revision counter moving.
         self._pair_sims: Optional[Dict[Tuple[str, str], float]] = None
         self._pair_sims_rev: Optional[Tuple[int, int]] = None
-        self._name_tokens: Dict[Tuple[str, str], List[str]] = {}
-        self._path_tokens: Dict[Tuple[str, str], List[str]] = {}
-        self._leaf_tokens: Dict[Tuple[str, str], FrozenSet[str]] = {}
+        #: side ("source"/"target") → element id → :class:`ElementFeatures`,
+        #: built on first use and dropped by :meth:`patch_side`
+        self._features: Dict[str, Dict[str, ElementFeatures]] = {
+            "source": {}, "target": {}}
+        #: side → root element id, reset by :meth:`rebind`
+        self._root_ids: Dict[str, str] = {}
         #: dense-embedding state (``repro.embed``): the embedder is built
-        #: lazily on first :meth:`embedding_of` call, vectors are memoized
-        #: per element under the same (graph name, element id) keys as the
-        #: token caches and invalidated by :meth:`patch_side` exactly like
-        #: them.  A shared :class:`EmbeddingSnapshot` (N-way matching)
-        #: serves pre-computed vectors, except for elements an evolution
-        #: has since touched.
+        #: lazily on first :meth:`embedding_of` call and vectors live on
+        #: the element's feature record.  A shared
+        #: :class:`EmbeddingSnapshot` (N-way matching) serves pre-computed
+        #: vectors, except for elements an evolution has since touched.
         self._embed_backend_selector = embed_backend
         self._embed_config = embed_config or EmbedConfig()
         self._embedder: Optional[HashEmbedder] = None
-        self._embeddings: Dict[Tuple[str, str], List[float]] = {}
         self._embedding_snapshot = embedding_snapshot
         self._stale_snapshot_docs: set = set()
-        #: cross-run voter-score memo: (voter name, source id, target id) →
-        #: score.  Only populated when the engine reuses the context across
-        #: refinement rounds; the engine owns invalidation.
-        self.score_cache: Dict[Tuple[str, str, str], float] = {}
+        #: cross-run voter-score columns: voter name → {(source id,
+        #: target id): score}.  Only populated when the engine reuses the
+        #: context across refinement rounds; the engine owns invalidation.
+        self.score_cache: Dict[str, Dict[Tuple[str, str], float]] = {}
+        #: the corpus (weights, documents) revisions the score cache is
+        #: valid for, stamped by the engine
+        self.score_cache_corpus_rev: Optional[Tuple[int, int]] = None
         self._source_docs: FrozenSet[str] = frozenset()
         source_docs = set()
         # with a shared CorpusSnapshot (N-way matching ships one per
@@ -115,7 +226,7 @@ class MatchContext:
 
         *closure_ids* is the engine's evolution closure for this side
         (``repro.harmony.engine.evolution_closure``); *delta* the
-        :class:`~repro.harmony.engine.GraphDelta`.  Token caches for the
+        :class:`~repro.harmony.engine.GraphDelta`.  Feature records for the
         closure are dropped, and the TF-IDF corpus is patched in place —
         documents removed, replaced or added only where documentation
         actually changed, so the corpus revision (and with it every
@@ -129,12 +240,11 @@ class MatchContext:
         old_graph = self.source if side == "source" else self.target
         graph_name = old_graph.name
         removed = delta.removed
-        for cache in (self._name_tokens, self._path_tokens,
-                      self._leaf_tokens, self._embeddings):
-            for element_id in closure_ids:
-                cache.pop((graph_name, element_id), None)
-            for element_id in removed:
-                cache.pop((graph_name, element_id), None)
+        features = self._features[side]
+        for element_id in closure_ids:
+            features.pop(element_id, None)
+        for element_id in removed:
+            features.pop(element_id, None)
         if self._embedding_snapshot is not None:
             # the shared snapshot predates the evolution: vectors for the
             # touched closure must be re-hashed, not served stale
@@ -167,6 +277,7 @@ class MatchContext:
         applied for both sides."""
         self.source = source
         self.target = target
+        self._root_ids = {}
         self._built_for = (source.revision, target.revision)
 
     @staticmethod
@@ -216,57 +327,40 @@ class MatchContext:
             self._pair_sims_rev = revision
         return self._pair_sims
 
-    def graph_of(self, element: SchemaElement) -> SchemaGraph:
-        """Which of the two graphs owns this element."""
-        if element.element_id in self.source and self.source.get(element.element_id) is element:
-            return self.source
-        if element.element_id in self.target and self.target.get(element.element_id) is element:
-            return self.target
-        # fall back to id membership (copies of elements)
-        if element.element_id in self.source:
-            return self.source
-        return self.target
+    def _side(self, graph: SchemaGraph) -> str:
+        return "source" if graph is self.source else "target"
 
-    def name_tokens(self, graph: SchemaGraph, element: SchemaElement) -> List[str]:
-        """Stemmed, stop-word-free, abbreviation-expanded name tokens."""
-        key = (graph.name, element.element_id)
-        if key not in self._name_tokens:
-            raw = split_identifier(element.name)
-            expanded: List[str] = []
-            for token in raw:
-                expansion = self.thesaurus.expand_abbreviation(token)
-                expanded.extend(split_identifier(expansion) or [expansion])
-            self._name_tokens[key] = stem_all(remove_stop_words(expanded)) or expanded
-        return self._name_tokens[key]
+    def root_id(self, graph: SchemaGraph) -> str:
+        """The id of *graph*'s root element, looked up once per binding."""
+        side = self._side(graph)
+        root = self._root_ids.get(side)
+        if root is None:
+            root = self._root_ids[side] = graph.root.element_id
+        return root
 
-    def path_tokens(self, graph: SchemaGraph, element: SchemaElement) -> List[str]:
-        """Stemmed tokens of the root-to-element name path (root excluded).
+    def features(self, graph: SchemaGraph, element: SchemaElement) -> ElementFeatures:
+        """The record of *element*, which belongs to *graph* (the
+        context's source or target), built on first use."""
+        table = self._features[self._side(graph)]
+        record = table.get(element.element_id)
+        if record is None:
+            record = table[element.element_id] = ElementFeatures(self, graph, element)
+        return record
 
-        Cached per element — the structure voter asks for the same path
-        once per candidate pair, which is O(S·T) recomputations without
-        this memo.
-        """
-        key = (graph.name, element.element_id)
-        if key not in self._path_tokens:
-            tokens: List[str] = []
-            for name in graph.path(element.element_id)[1:]:
-                tokens.extend(stem(t) for t in split_identifier(name))
-            self._path_tokens[key] = tokens
-        return self._path_tokens[key]
-
-    def leaf_tokens(self, graph: SchemaGraph, element: SchemaElement) -> FrozenSet[str]:
-        """Stemmed name tokens of the leaf descendants below an element."""
-        key = (graph.name, element.element_id)
-        if key not in self._leaf_tokens:
-            names = set()
-            for descendant in graph.subtree(element.element_id):
-                if descendant.element_id == element.element_id:
-                    continue
-                if not graph.children(descendant.element_id):
-                    for token in split_identifier(descendant.name):
-                        names.add(stem(token))
-            self._leaf_tokens[key] = frozenset(names)
-        return self._leaf_tokens[key]
+    def pair_features(
+        self, pairs: Sequence[CandidatePair]
+    ) -> List[Tuple[ElementFeatures, ElementFeatures]]:
+        """The feature records of each candidate pair, whose first
+        element belongs to :attr:`source` and second to :attr:`target`."""
+        source, target = self.source, self.target
+        source_table = self._features[self._side(source)]
+        target_table = self._features[self._side(target)]
+        features = self.features
+        return [
+            (source_table.get(s.element_id) or features(source, s),
+             target_table.get(t.element_id) or features(target, t))
+            for s, t in pairs
+        ]
 
     @property
     def embedder(self) -> HashEmbedder:
@@ -287,9 +381,10 @@ class MatchContext:
         Mirrors the blocking index's key namespaces so ANN retrieval
         sees the same evidence as the inverted index, fused into one
         vector: name tokens ride the standard pipeline
-        (:meth:`name_tokens`: abbreviation expansion → stop words →
-        stemming) plus their thesaurus synonyms and character n-grams
-        (subword robustness: ``lname``/``lastname`` share mass),
+        (:attr:`ElementFeatures.name_tokens`: abbreviation expansion →
+        stop words → stemming) plus their thesaurus synonyms and
+        character n-grams (subword robustness: ``lname``/``lastname``
+        share mass),
         documentation contributes its preprocessed terms, the
         containment parent its name tokens (generic attribute names
         under similar entities stay near) and containers their leaf
@@ -298,8 +393,9 @@ class MatchContext:
         every context and in the N-way :class:`EmbeddingSnapshot`.
         """
         config = self._embed_config
+        record = self.features(graph, element)
         features: List[str] = []
-        for token in self.name_tokens(graph, element):
+        for token in record.name_tokens:
             # tokens twice: exact-name evidence outweighs subword grams,
             # and integer counts keep backend parity bit-exact
             features.append(f"t:{token}")
@@ -315,12 +411,10 @@ class MatchContext:
         if config.use_documentation and element.documentation:
             for term in preprocess(element.documentation):
                 features.append(f"d:{term}")
-        parent = graph.parent(element.element_id)
-        if parent is not None and parent.element_id != graph.root.element_id:
-            for token in self.name_tokens(graph, parent):
-                features.append(f"p:{token}")
+        for token in record.parent_tokens:
+            features.append(f"p:{token}")
         if element.kind in CONTAINER_KINDS:
-            for token in self.leaf_tokens(graph, element):
+            for token in record.leaf_tokens:
                 features.append(f"l:{token}")
         return features
 
@@ -333,23 +427,28 @@ class MatchContext:
         element (and no evolution has touched it), hashed on demand
         otherwise.  All-zero vectors mean "no lexical evidence at all".
         """
-        key = (graph.name, element.element_id)
-        vector = self._embeddings.get(key)
-        if vector is None:
-            snapshot = self._embedding_snapshot
-            doc = f"{graph.name}::{element.element_id}"
-            if (
-                snapshot is not None
-                and doc in snapshot
-                and doc not in self._stale_snapshot_docs
-            ):
-                vector = snapshot.vector(doc)
-            else:
+        record = self.features(graph, element)
+        if record.embedding is None:
+            vector = self._snapshot_vector(graph, element)
+            if vector is None:
                 vector = self.embedder.embed(
                     self.embedding_features(graph, element)
                 )
-            self._embeddings[key] = vector
-        return vector
+            record.embedding = vector
+        return record.embedding
+
+    def _snapshot_vector(
+        self, graph: SchemaGraph, element: SchemaElement
+    ) -> Optional[List[float]]:
+        """The shared snapshot's vector for *element*, unless there is
+        none or an evolution has touched the element since."""
+        snapshot = self._embedding_snapshot
+        if snapshot is None:
+            return None
+        doc = f"{graph.name}::{element.element_id}"
+        if doc in snapshot and doc not in self._stale_snapshot_docs:
+            return snapshot.vector(doc)
+        return None
 
     def warm_embeddings(
         self, graph: SchemaGraph, elements: List[SchemaElement]
@@ -362,28 +461,21 @@ class MatchContext:
         skipped.  Results are identical to element-at-a-time
         :meth:`embedding_of` calls.
         """
-        missing: List[Tuple[Tuple[str, str], SchemaElement]] = []
-        snapshot = self._embedding_snapshot
+        missing: List[Tuple[ElementFeatures, SchemaElement]] = []
         for element in elements:
-            key = (graph.name, element.element_id)
-            if key in self._embeddings:
+            record = self.features(graph, element)
+            if record.embedding is not None:
                 continue
-            doc = f"{graph.name}::{element.element_id}"
-            if (
-                snapshot is not None
-                and doc in snapshot
-                and doc not in self._stale_snapshot_docs
-            ):
-                self._embeddings[key] = snapshot.vector(doc)
-            else:
-                missing.append((key, element))
+            record.embedding = self._snapshot_vector(graph, element)
+            if record.embedding is None:
+                missing.append((record, element))
         if missing:
             vectors = self.embedder.embed_batch(
                 [self.embedding_features(graph, element)
                  for _, element in missing]
             )
-            for (key, _), vector in zip(missing, vectors):
-                self._embeddings[key] = vector
+            for (record, _), vector in zip(missing, vectors):
+                record.embedding = vector
 
     def candidate_pairs(self) -> List[Tuple[SchemaElement, SchemaElement]]:
         """All (source, target) pairs worth scoring.
@@ -449,7 +541,9 @@ class MatchVoter(ABC):
     """One matching strategy.
 
     ``score`` returns a confidence in [-1, +1]; 0 means "no evidence" —
-    the merger then gives this voter no say on that pair.
+    the merger then gives this voter no say on that pair.  The engine
+    calls :meth:`score_pairs` once per candidate list; its default scores
+    pair by pair through ``score``, so a custom voter needs only that.
     """
 
     #: Stable identifier used in merger weights and benchmark output.
@@ -469,6 +563,12 @@ class MatchVoter(ABC):
     ) -> float:
         """Score one (source, target) pair under this strategy."""
 
+    def score_pairs(
+        self, pairs: Sequence[CandidatePair], context: MatchContext
+    ) -> List[float]:
+        """Score every (source, target) pair: one score per pair, in order."""
+        return [self.score(source, target, context) for source, target in pairs]
+
     def applicable(self, source: SchemaElement, target: SchemaElement) -> bool:
         """Whether this voter has anything to say about this pair at all."""
         return True
@@ -478,3 +578,27 @@ class MatchVoter(ABC):
 
     def __repr__(self) -> str:
         return f"{type(self).__name__}(name={self.name!r})"
+
+
+class ColumnVoter(MatchVoter):
+    """A voter that scores a whole candidate column per call.
+
+    Subclasses implement :meth:`score_pairs` over the context's
+    per-element :class:`ElementFeatures`; the single-pair ``score`` runs
+    through the same code.  Pairs pair a :attr:`MatchContext.source`
+    element with a :attr:`MatchContext.target` element.
+    """
+
+    @abstractmethod
+    def score_pairs(
+        self, pairs: Sequence[CandidatePair], context: MatchContext
+    ) -> List[float]:
+        """Score every (source, target) pair: one score per pair, in order."""
+
+    def score(
+        self,
+        source: SchemaElement,
+        target: SchemaElement,
+        context: MatchContext,
+    ) -> float:
+        return self.score_pairs([(source, target)], context)[0]

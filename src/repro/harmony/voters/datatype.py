@@ -10,12 +10,14 @@ dominating.
 
 from __future__ import annotations
 
+from typing import List, Sequence
+
 from ...core.elements import ElementKind, SchemaElement
 from ...loaders.base import types_compatible
-from .base import MatchContext, MatchVoter
+from .base import CandidatePair, ColumnVoter, MatchContext
 
 
-class DatatypeVoter(MatchVoter):
+class DatatypeVoter(ColumnVoter):
     name = "datatype"
 
     #: Score when types are identical / merely compatible / incompatible.
@@ -31,11 +33,17 @@ class DatatypeVoter(MatchVoter):
             and target.datatype is not None
         )
 
-    def score(self, source: SchemaElement, target: SchemaElement, context: MatchContext) -> float:
-        if not self.applicable(source, target):
-            return 0.0
-        if source.datatype == target.datatype:
-            return self.SAME
-        if types_compatible(source.datatype, target.datatype):
-            return self.COMPATIBLE
-        return self.INCOMPATIBLE
+    def score_pairs(
+        self, pairs: Sequence[CandidatePair], context: MatchContext
+    ) -> List[float]:
+        scores = []
+        for source, target in pairs:
+            if not self.applicable(source, target):
+                scores.append(0.0)
+            elif source.datatype == target.datatype:
+                scores.append(self.SAME)
+            elif types_compatible(source.datatype, target.datatype):
+                scores.append(self.COMPATIBLE)
+            else:
+                scores.append(self.INCOMPATIBLE)
+        return scores

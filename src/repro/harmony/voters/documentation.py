@@ -11,11 +11,13 @@ which is what lets Harmony degrade gracefully on undocumented schemata.
 
 from __future__ import annotations
 
+from typing import List, Sequence
+
 from ...core.elements import SchemaElement
-from .base import MatchContext, MatchVoter, calibrate
+from .base import CandidatePair, ColumnVoter, MatchContext, calibrate
 
 
-class DocumentationVoter(MatchVoter):
+class DocumentationVoter(ColumnVoter):
     """Bag-of-words comparison of documentation, IDF-weighted."""
 
     name = "documentation"
@@ -23,22 +25,27 @@ class DocumentationVoter(MatchVoter):
 
     def prepare(self, context: MatchContext) -> None:
         """Score every cross-schema pair sharing vocabulary in one
-        postings sweep (``SparseTfIdf.all_pairs``) before per-pair
-        scoring starts — ``score`` then only does table lookups, and
-        pairs absent from the table have cosine exactly 0.0.  The sweep
-        itself is a NumPy CSR matmul when NumPy is importable, the
-        dependency-free postings merge otherwise."""
+        postings sweep (``SparseTfIdf.all_pairs``) before scoring
+        starts — scoring then only does table lookups, and pairs absent
+        from the table have cosine exactly 0.0.  The sweep itself is a
+        NumPy CSR matmul when NumPy is importable, the dependency-free
+        postings merge otherwise."""
         context.warm_pair_sims()
 
     def applicable(self, source: SchemaElement, target: SchemaElement) -> bool:
         return source.has_documentation and target.has_documentation
 
-    def score(self, source: SchemaElement, target: SchemaElement, context: MatchContext) -> float:
-        if not self.applicable(source, target):
-            return 0.0
-        doc_a = context.doc_id(context.graph_of(source), source)
-        doc_b = context.doc_id(context.graph_of(target), target)
-        cosine = context.cosine(doc_a, doc_b)
-        # recall-oriented: positive territory starts at low cosine, and the
-        # negative floor is shallow.
-        return calibrate(cosine, zero_point=0.08, full_point=0.75, negative_floor=-0.35)
+    def score_pairs(
+        self, pairs: Sequence[CandidatePair], context: MatchContext
+    ) -> List[float]:
+        scores = []
+        for fs, ft in context.pair_features(pairs):
+            if fs.doc is None or ft.doc is None:
+                scores.append(0.0)
+                continue
+            cosine = context.cosine(fs.doc, ft.doc)
+            # recall-oriented: positive territory starts at low cosine,
+            # and the negative floor is shallow.
+            scores.append(calibrate(
+                cosine, zero_point=0.08, full_point=0.75, negative_floor=-0.35))
+        return scores

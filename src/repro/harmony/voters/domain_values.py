@@ -16,36 +16,17 @@ with zero overlap almost certainly do not.
 
 from __future__ import annotations
 
-from typing import FrozenSet, Optional
+from typing import List, Sequence
 
 from ...core.elements import ElementKind, SchemaElement
-from ...core.graph import SchemaGraph
 from ...text.similarity import jaccard_similarity
-from .base import MatchContext, MatchVoter, calibrate
+from .base import CandidatePair, ColumnVoter, MatchContext, calibrate
 
 
-def _domain_codes(graph: SchemaGraph, element: SchemaElement) -> Optional[FrozenSet[str]]:
-    """The value-code set behind an element, if it has one."""
-    if element.kind is ElementKind.DOMAIN:
-        domain = element
-    elif element.kind is ElementKind.ATTRIBUTE:
-        domain = graph.domain_of(element.element_id)
-        if domain is None:
-            values = element.annotation("instance_values")
-            if values:
-                return frozenset(str(v).strip().lower() for v in values)
-            return None
-    else:
-        return None
-    codes = frozenset(
-        child.name.strip().lower()
-        for child in graph.children(domain.element_id)
-        if child.kind is ElementKind.DOMAIN_VALUE
-    )
-    return codes or None
+class DomainValueVoter(ColumnVoter):
+    """Jaccard overlap of the two elements' value-code sets
+    (:attr:`~repro.harmony.voters.base.ElementFeatures.codes`)."""
 
-
-class DomainValueVoter(MatchVoter):
     name = "domain-values"
 
     def applicable(self, source: SchemaElement, target: SchemaElement) -> bool:
@@ -54,12 +35,16 @@ class DomainValueVoter(MatchVoter):
             ElementKind.ATTRIBUTE,
         )
 
-    def score(self, source: SchemaElement, target: SchemaElement, context: MatchContext) -> float:
-        if not self.applicable(source, target):
-            return 0.0
-        codes_a = _domain_codes(context.graph_of(source), source)
-        codes_b = _domain_codes(context.graph_of(target), target)
-        if codes_a is None or codes_b is None:
-            return 0.0  # abstain: at least one side has no coding scheme
-        overlap = jaccard_similarity(codes_a, codes_b)
-        return calibrate(overlap, zero_point=0.15, full_point=0.8, negative_floor=-0.8)
+    def score_pairs(
+        self, pairs: Sequence[CandidatePair], context: MatchContext
+    ) -> List[float]:
+        scores = []
+        for fs, ft in context.pair_features(pairs):
+            # only DOMAINs and ATTRIBUTEs carry codes
+            if fs.codes is None or ft.codes is None:
+                scores.append(0.0)  # abstain: a side has no coding scheme
+                continue
+            overlap = jaccard_similarity(fs.codes, ft.codes)
+            scores.append(calibrate(
+                overlap, zero_point=0.15, full_point=0.8, negative_floor=-0.8))
+        return scores

@@ -10,21 +10,22 @@ signal — name tokens, subword n-grams and documentation terms in one
 similarity — which is precisely what makes the same vectors reusable
 for sub-linear ANN blocking (``BlockingConfig(strategy="ann")``).
 
-Vectors are memoized on the :class:`MatchContext` under the same
-invalidation discipline as the token caches (evolution closures pop
-them), and the voter's pair scores ride the engine's standard score
-cache.  The voter does not consult learned word weights
-(``uses_word_weights = False``), so its cached scores survive
-bag-of-words feedback rounds.
+Vectors live on the :class:`MatchContext`'s per-element feature
+records (evolution closures drop them), and the voter's pair scores
+ride the engine's standard score cache.  The voter does not consult
+learned word weights (``uses_word_weights = False``), so its cached
+scores survive bag-of-words feedback rounds.
 """
 
 from __future__ import annotations
 
+from typing import List, Sequence
+
 from ...core.elements import SchemaElement
-from .base import MatchContext, MatchVoter, calibrate, kinds_comparable
+from .base import CandidatePair, ColumnVoter, MatchContext, calibrate, kinds_comparable
 
 
-class EmbeddingVoter(MatchVoter):
+class EmbeddingVoter(ColumnVoter):
     """Cosine of the two elements' hash-projection embeddings."""
 
     name = "embedding"
@@ -48,22 +49,24 @@ class EmbeddingVoter(MatchVoter):
     ) -> bool:
         return kinds_comparable(source.kind, target.kind)
 
-    def score(
-        self,
-        source: SchemaElement,
-        target: SchemaElement,
-        context: MatchContext,
-    ) -> float:
-        if not self.applicable(source, target):
-            return 0.0
-        source_vec = context.embedding_of(context.source, source)
-        target_vec = context.embedding_of(context.target, target)
-        if not any(source_vec) or not any(target_vec):
-            return 0.0  # no lexical evidence on one side: abstain
-        similarity = sum(a * b for a, b in zip(source_vec, target_vec))
-        return calibrate(
-            similarity,
-            zero_point=self.zero_point,
-            full_point=self.full_point,
-            negative_floor=self.negative_floor,
-        )
+    def score_pairs(
+        self, pairs: Sequence[CandidatePair], context: MatchContext
+    ) -> List[float]:
+        scores = []
+        for source, target in pairs:
+            if not self.applicable(source, target):
+                scores.append(0.0)
+                continue
+            source_vec = context.embedding_of(context.source, source)
+            target_vec = context.embedding_of(context.target, target)
+            if not any(source_vec) or not any(target_vec):
+                scores.append(0.0)  # no lexical evidence on one side: abstain
+                continue
+            similarity = sum(a * b for a, b in zip(source_vec, target_vec))
+            scores.append(calibrate(
+                similarity,
+                zero_point=self.zero_point,
+                full_point=self.full_point,
+                negative_floor=self.negative_floor,
+            ))
+        return scores

@@ -12,11 +12,11 @@ Sample values travel on the ``instance_values`` element annotation
 from __future__ import annotations
 
 import re
-from typing import List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from ...core.elements import ElementKind, SchemaElement
 from ...text.similarity import jaccard_similarity
-from .base import MatchContext, MatchVoter, calibrate
+from .base import CandidatePair, ColumnVoter, MatchContext, calibrate
 
 _PATTERN_BUCKETS = (
     (re.compile(r"^\d+$"), "digits"),
@@ -50,7 +50,11 @@ def _values_of(element: SchemaElement) -> Optional[List[str]]:
     return [str(v).strip() for v in values if str(v).strip()]
 
 
-class InstanceVoter(MatchVoter):
+#: an element's lowercased sample values and their pattern signature
+_Sample = Tuple[Set[str], str]
+
+
+class InstanceVoter(ColumnVoter):
     name = "instance"
 
     def applicable(self, source: SchemaElement, target: SchemaElement) -> bool:
@@ -61,17 +65,39 @@ class InstanceVoter(MatchVoter):
             and _values_of(target) is not None
         )
 
-    def score(self, source: SchemaElement, target: SchemaElement, context: MatchContext) -> float:
-        values_a = _values_of(source)
-        values_b = _values_of(target)
-        if values_a is None or values_b is None:
-            return 0.0  # no instance data -> abstain (Section 2)
-        overlap = jaccard_similarity(
-            {v.lower() for v in values_a}, {v.lower() for v in values_b}
+    def score_pairs(
+        self, pairs: Sequence[CandidatePair], context: MatchContext
+    ) -> List[float]:
+        source_samples: Dict[str, Optional[_Sample]] = {}
+        target_samples: Dict[str, Optional[_Sample]] = {}
+        scores = []
+        for source, target in pairs:
+            sample_a = _sample_of(source, source_samples)
+            sample_b = _sample_of(target, target_samples)
+            if sample_a is None or sample_b is None:
+                scores.append(0.0)  # no instance data -> abstain (Section 2)
+                continue
+            overlap = jaccard_similarity(sample_a[0], sample_b[0])
+            if overlap > 0.0:
+                scores.append(calibrate(
+                    overlap, zero_point=0.05, full_point=0.6, negative_floor=0.0))
+            # no shared values: fall back to syntactic-shape agreement
+            elif sample_a[1] == sample_b[1]:
+                scores.append(0.15)
+            else:
+                scores.append(-0.3)
+        return scores
+
+
+def _sample_of(
+    element: SchemaElement, memo: Dict[str, Optional[_Sample]]
+) -> Optional[_Sample]:
+    """The element's :data:`_Sample`, computed once per column."""
+    key = element.element_id
+    if key not in memo:
+        values = _values_of(element)
+        memo[key] = (
+            None if values is None
+            else ({v.lower() for v in values}, _pattern_signature(values))
         )
-        if overlap > 0.0:
-            return calibrate(overlap, zero_point=0.05, full_point=0.6, negative_floor=0.0)
-        # no shared values: fall back to syntactic-shape agreement
-        if _pattern_signature(values_a) == _pattern_signature(values_b):
-            return 0.15
-        return -0.3
+    return memo[key]

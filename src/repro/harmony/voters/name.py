@@ -2,12 +2,13 @@
 
 from __future__ import annotations
 
-from ...core.elements import SchemaElement
+from typing import List, Sequence
+
 from ...text import kernels
-from .base import MatchContext, MatchVoter, calibrate
+from .base import CandidatePair, ColumnVoter, MatchContext, calibrate
 
 
-class NameVoter(MatchVoter):
+class NameVoter(ColumnVoter):
     """Compares element names with a blend of string measures.
 
     The blend covers the common ways names agree: whole-string edit /
@@ -20,13 +21,18 @@ class NameVoter(MatchVoter):
 
     name = "name"
 
-    def score(self, source: SchemaElement, target: SchemaElement, context: MatchContext) -> float:
-        a, b = source.name, target.name
-        if a.lower() == b.lower():
-            return 1.0
-        tokens_a = context.name_tokens(context.graph_of(source), source)
-        tokens_b = context.name_tokens(context.graph_of(target), target)
-        similarity = kernels.blended_name_similarity(a, b, tokens_a, tokens_b)
-        if tokens_a and tokens_a == tokens_b:
-            return 1.0
-        return calibrate(similarity, zero_point=0.45, full_point=0.92, negative_floor=-0.6)
+    def score_pairs(
+        self, pairs: Sequence[CandidatePair], context: MatchContext
+    ) -> List[float]:
+        scores = []
+        for (source, target), (fs, ft) in zip(pairs, context.pair_features(pairs)):
+            if fs.lower == ft.lower or (
+                fs.name_tokens and fs.name_tokens == ft.name_tokens
+            ):
+                scores.append(1.0)
+                continue
+            similarity = kernels.blended_name_similarity(
+                source.name, target.name, fs.name_keys, ft.name_keys)
+            scores.append(calibrate(
+                similarity, zero_point=0.45, full_point=0.92, negative_floor=-0.6))
+        return scores

@@ -14,28 +14,27 @@ through the graph) with direct structural measures:
 
 from __future__ import annotations
 
-from ...core.elements import SchemaElement
+from typing import List, Sequence
+
 from ...text import kernels
-from .base import MatchContext, MatchVoter, calibrate
+from .base import CandidatePair, ColumnVoter, MatchContext, calibrate
 
 
-class StructureVoter(MatchVoter):
+class StructureVoter(ColumnVoter):
     name = "structure"
 
-    def score(self, source: SchemaElement, target: SchemaElement, context: MatchContext) -> float:
-        graph_s = context.graph_of(source)
-        graph_t = context.graph_of(target)
-        path_sim = kernels.monge_elkan(
-            context.path_tokens(graph_s, source), context.path_tokens(graph_t, target)
-        )
-        if source.is_container and target.is_container:
-            leaves_s = context.leaf_tokens(graph_s, source)
-            leaves_t = context.leaf_tokens(graph_t, target)
-            if leaves_s and leaves_t:
-                leaf_sim = kernels.jaccard_similarity(leaves_s, leaves_t)
-                similarity = 0.5 * path_sim + 0.5 * leaf_sim
-            else:
-                similarity = path_sim
-        else:
-            similarity = path_sim
-        return calibrate(similarity, zero_point=0.4, full_point=0.95, negative_floor=-0.3)
+    def score_pairs(
+        self, pairs: Sequence[CandidatePair], context: MatchContext
+    ) -> List[float]:
+        scores = []
+        for (source, target), (fs, ft) in zip(pairs, context.pair_features(pairs)):
+            similarity = kernels.monge_elkan(fs.path_keys, ft.path_keys)
+            if (
+                source.is_container and target.is_container
+                and fs.leaf_tokens and ft.leaf_tokens
+            ):
+                leaf_sim = kernels.jaccard_similarity(fs.leaf_tokens, ft.leaf_tokens)
+                similarity = 0.5 * similarity + 0.5 * leaf_sim
+            scores.append(calibrate(
+                similarity, zero_point=0.4, full_point=0.95, negative_floor=-0.3))
+        return scores

@@ -7,43 +7,39 @@ thesaurus."*  Names whose tokens are pairwise synonyms (``vendor`` /
 
 from __future__ import annotations
 
-from typing import List
+from typing import List, Sequence
 
-from ...core.elements import SchemaElement
-from ...text.tokenize import split_identifier
-from .base import MatchContext, MatchVoter, calibrate
+from .base import CandidatePair, ColumnVoter, MatchContext, calibrate
 
 
-class ThesaurusVoter(MatchVoter):
+class ThesaurusVoter(ColumnVoter):
     """Best-synonym-match token alignment.
 
-    For each token of the shorter name, find the best token of the other
-    name under synonym equivalence (1.0 if synonyms/equal, else 0), then
-    average.  Purely a synonym signal: lexical similarity is the
-    NameVoter's job, so near-miss strings contribute nothing here.
+    For each token of one name, find whether any token of the other
+    name is a synonym (or equal) after abbreviation expansion, and
+    average the hit rates of both directions.  Purely a synonym signal:
+    lexical similarity is the NameVoter's job, so near-miss strings
+    contribute nothing here.
     """
 
     name = "thesaurus"
 
-    def score(self, source: SchemaElement, target: SchemaElement, context: MatchContext) -> float:
-        thesaurus = context.thesaurus
-        tokens_a = self._tokens(source.name, context)
-        tokens_b = self._tokens(target.name, context)
-        if not tokens_a or not tokens_b:
-            return 0.0
-
-        def aligned(xs: List[str], ys: List[str]) -> float:
-            hits = sum(1 for x in xs if any(thesaurus.are_synonyms(x, y) for y in ys))
-            return hits / len(xs)
-
-        overlap = (aligned(tokens_a, tokens_b) + aligned(tokens_b, tokens_a)) / 2.0
-        if overlap == 0.0:
-            return 0.0  # abstain: no synonym evidence either way
-        return calibrate(overlap, zero_point=0.25, full_point=0.95, negative_floor=0.0)
-
-    @staticmethod
-    def _tokens(name: str, context: MatchContext) -> List[str]:
-        tokens = []
-        for token in split_identifier(name):
-            tokens.append(context.thesaurus.expand_abbreviation(token))
-        return [t for t in tokens if not t.isdigit()]
+    def score_pairs(
+        self, pairs: Sequence[CandidatePair], context: MatchContext
+    ) -> List[float]:
+        scores = []
+        for fs, ft in context.pair_features(pairs):
+            sets_a, sets_b = fs.synonym_sets, ft.synonym_sets
+            if not sets_a or not sets_b:
+                scores.append(0.0)
+                continue
+            keys_a, keys_b = fs.synonym_keys, ft.synonym_keys
+            hits_a = sum(1 for synonyms in sets_a if not synonyms.isdisjoint(keys_b))
+            hits_b = sum(1 for synonyms in sets_b if not synonyms.isdisjoint(keys_a))
+            overlap = (hits_a / len(sets_a) + hits_b / len(sets_b)) / 2.0
+            if overlap == 0.0:
+                scores.append(0.0)  # abstain: no synonym evidence either way
+                continue
+            scores.append(calibrate(
+                overlap, zero_point=0.25, full_point=0.95, negative_floor=0.0))
+        return scores

@@ -775,6 +775,20 @@ def _quoter() -> Callable[[str], str]:
     return qid
 
 
+def _unquoter() -> Callable[[str], str]:
+    """``urllib.parse.unquote`` memoized for one pass: ids repeat
+    across cells."""
+    unquoted: Dict[str, str] = {}
+
+    def unquote(text: str) -> str:
+        u = unquoted.get(text)
+        if u is None:
+            u = unquoted[text] = urllib.parse.unquote(text)
+        return u
+
+    return unquote
+
+
 def _schema_of(element_ref: Optional[object]) -> str:
     if isinstance(element_ref, IRI) and element_ref in ELEMENT_BASE:
         path = ELEMENT_BASE.local_name(element_ref)
@@ -891,14 +905,15 @@ def read_matrix_view(store: TripleStore, matrix_name: str) -> MatrixView:
                 view.dirty.add(iri)
     cell_prefix = f"{MATRIX_BASE.base}{qname}/cell/"
     row_iris, column_iris = view.row_iris, view.column_iris
+    unquote = _unquoter()
     for cl in m_slice.get(V.HAS_CELL) or ():
         parts = cl.value[len(MATRIX_BASE.base):].split("/") if isinstance(cl, IRI) else ()
         # <matrix>/cell/<source>/<target>
         if len(parts) != 4 or parts[1] != "cell" or cl not in MATRIX_BASE:
             orphan(V.HAS_CELL, cl, "is a malformed cell IRI")
             continue
-        source_id = urllib.parse.unquote(parts[2])
-        target_id = urllib.parse.unquote(parts[3])
+        source_id = unquote(parts[2])
+        target_id = unquote(parts[3])
         if cl.value != f"{cell_prefix}{qid(source_id)}/{qid(target_id)}":
             orphan(V.HAS_CELL, cl, "is not the canonical cell IRI of its pair")
             continue

@@ -55,6 +55,7 @@ from .tokenize import ngrams as _ngrams
 
 __all__ = [
     "MongeElkanKernel",
+    "TokenKeys",
     "blended_name_similarity",
     "cache_stats",
     "clear_caches",
@@ -71,6 +72,7 @@ __all__ = [
     "note_cache_event",
     "score_pairs",
     "substring_similarity",
+    "token_keys",
 ]
 
 #: caches reset (not trimmed) when they outgrow this — far above any real
@@ -417,6 +419,20 @@ def _row_best(token: str, others: Tuple[str, ...]) -> float:
     return value
 
 
+class TokenKeys(tuple):
+    """A token tuple already lowercased and interned — the form
+    :func:`monge_elkan` memoizes its rows on.  A caller that scores one
+    token list against many builds it once (:func:`token_keys`); any
+    other sequence is converted on every call."""
+
+    __slots__ = ()
+
+
+def token_keys(tokens: Sequence[str]) -> TokenKeys:
+    """*tokens* lowercased and interned, as :class:`TokenKeys`."""
+    return TokenKeys(intern(t.lower()) for t in tokens)
+
+
 def monge_elkan(
     tokens_a: Sequence[str],
     tokens_b: Sequence[str],
@@ -434,8 +450,8 @@ def monge_elkan(
     if not tokens_a or not tokens_b:
         return 0.0
     if base is None or base is jaro_winkler_similarity or base is reference.jaro_winkler_similarity:
-        ta = tuple(intern(t.lower()) for t in tokens_a)
-        tb = tuple(intern(t.lower()) for t in tokens_b)
+        ta = tokens_a if type(tokens_a) is TokenKeys else token_keys(tokens_a)
+        tb = tokens_b if type(tokens_b) is TokenKeys else token_keys(tokens_b)
         forward = sum(_row_best(x, tb) for x in ta) / len(ta)
         backward = sum(_row_best(y, ta) for y in tb) / len(tb)
         return (forward + backward) / 2.0

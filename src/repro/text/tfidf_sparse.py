@@ -306,7 +306,6 @@ class SparseTfIdf:
 
     def all_pairs(
         self,
-        min_sim: float = 0.0,
         group_of: Optional[Callable[[str], Hashable]] = None,
     ) -> Dict[Tuple[str, str], float]:
         """Cosine for every document pair sharing at least one term.
@@ -334,14 +333,13 @@ class SparseTfIdf:
             n = len(self._doc_ids)
             if n * n <= _CSR_DENSE_CELL_LIMIT:
                 _ALL_PAIRS_STATS["allpairs_csr_sweeps"] += 1
-                return self._all_pairs_csr(np, min_sim, groups)
+                return self._all_pairs_csr(np, groups)
             _ALL_PAIRS_STATS["allpairs_csr_oversize_fallbacks"] += 1
         _ALL_PAIRS_STATS["allpairs_merge_sweeps"] += 1
-        return self._all_pairs_merge(min_sim, groups)
+        return self._all_pairs_merge(groups)
 
     def _all_pairs_merge(
         self,
-        min_sim: float,
         groups: Optional[List[Hashable]],
     ) -> Dict[Tuple[str, str], float]:
         """The dependency-free postings-walk reference implementation."""
@@ -368,14 +366,12 @@ class SparseTfIdf:
             doc_id = self._doc_ids[index]
             doc_ids = self._doc_ids
             for other, sim in accumulator.items():
-                if sim >= min_sim:
-                    out[(doc_id, doc_ids[other])] = sim
+                out[(doc_id, doc_ids[other])] = sim
         return out
 
     def _all_pairs_csr(
         self,
         np,
-        min_sim: float,
         groups: Optional[List[Hashable]],
     ) -> Dict[Tuple[str, str], float]:
         """CSR-style sparse matmul over the interned term-id arrays.
@@ -429,7 +425,7 @@ class SparseTfIdf:
             )
             if len(interned) == 2:
                 return self._all_pairs_csr_bipartite(
-                    np, min_sim, group_ids, indices, data, rows
+                    np, group_ids, indices, data, rows
                 )
 
         vocabulary = len(self._term_ids)
@@ -450,8 +446,6 @@ class SparseTfIdf:
             cooc += pattern @ pattern.T
 
         keep = np.triu(cooc > 0.0, k=1)
-        if min_sim > 0.0:
-            keep &= sims >= min_sim
         if group_ids is not None:
             keep &= group_ids[:, None] != group_ids[None, :]
         doc_ids = self._doc_ids
@@ -463,7 +457,7 @@ class SparseTfIdf:
         }
 
     def _all_pairs_csr_bipartite(
-        self, np, min_sim, group_ids, indices, data, rows
+        self, np, group_ids, indices, data, rows
     ) -> Dict[Tuple[str, str], float]:
         """The rectangular (group A × group B) CSR product.
 
@@ -508,8 +502,6 @@ class SparseTfIdf:
             cooc += a_pattern @ b_pattern.T
 
         keep = cooc > 0.0
-        if min_sim > 0.0:
-            keep &= sims >= min_sim
         doc_ids = self._doc_ids
         a_orig = a_docs.tolist()
         b_orig = b_docs.tolist()

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.core import VoterScore
-from repro.harmony import MAX_WEIGHT, MIN_WEIGHT, VoteMerger
+from repro.harmony import MAX_WEIGHT, MIN_WEIGHT, EngineConfig, HarmonyEngine, VoteMerger
 
 
 def _vote(voter, score, pair=("a", "x")):
@@ -73,14 +73,39 @@ class TestMergeAll:
             _vote("b", 0.6, ("s1", "t1")),
             _vote("a", -0.4, ("s2", "t1")),
         ]
-        results = VoteMerger().merge(votes)
-        by_pair = {(r.source_id, r.target_id): r for r in results}
+        by_pair = VoteMerger().merge(votes)
         assert len(by_pair) == 2
-        assert by_pair[("s1", "t1")].confidence > 0.6
-        assert by_pair[("s2", "t1")].confidence < 0.0
+        assert by_pair[("s1", "t1")] > 0.6
+        assert by_pair[("s2", "t1")] < 0.0
 
-    def test_provenance_kept(self):
-        votes = [_vote("a", 0.8), _vote("b", 0.2)]
-        result = VoteMerger().merge(votes)[0]
-        assert result.vote_of("a").score == 0.8
-        assert result.vote_of("missing") is None
+
+class _MaxWins(VoteMerger):
+    """The single most extreme cast vote decides."""
+
+    def merge_columns(self, pairs, columns):
+        merged = {}
+        for pair, row in zip(pairs, zip(*[scores for _, scores in columns])):
+            cast = [score for score in row if score]
+            if cast:
+                merged[pair] = max(-0.99, min(0.99, max(cast, key=abs)))
+        return merged
+
+
+class TestMergeRule:
+    """``merge_columns`` is the one merge rule: what a subclass puts
+    there is what the engine and ``merge_pair`` use."""
+
+    def test_subclass_rule_reaches_the_engine(self, orders_graph, notice_graph):
+        config = EngineConfig(flooding="off")
+        default = HarmonyEngine(config=config).match(orders_graph, notice_graph)
+        custom = HarmonyEngine(merger=_MaxWins(), config=config).match(
+            orders_graph, notice_graph)
+        assert custom.pre_flooding == _MaxWins().merge_columns(
+            custom.pairs, custom.columns)
+        cells = lambda run: {c.pair: c.confidence for c in run.matrix.cells()}
+        assert cells(custom) != cells(default)
+
+    def test_merge_pair_follows_the_subclass_rule(self):
+        votes = [_vote("a", 0.9), _vote("b", -0.2), _vote("c", 0.0)]
+        assert _MaxWins().merge_pair(votes) == 0.9
+        assert VoteMerger().merge_pair(votes) < 0.9

@@ -13,7 +13,11 @@ oracles: the differential suites and the relative gates of
   patched ``BlockingIndex`` returns the same ordered pairs;
 * :func:`evaluate_reference` — the greedy left-to-right BGP evaluator
   (``tests/oracles/query.py``); the cost-based planner returns the same
-  solution multiset.
+  solution multiset;
+* :func:`voter_column` / :func:`merge_pair` — each built-in voter's
+  per-pair body and the per-pair vote merge (``tests/oracles/voters.py``);
+  the column voters and ``VoteMerger.merge_columns`` reproduce them bit
+  for bit.
 
 Import as ``from tests.oracles import ...`` (benchmarks put the repo
 root on ``sys.path`` first).
@@ -22,11 +26,14 @@ root on ``sys.path`` first).
 from .blocking import blocking_candidates
 from .flooding import classic_flooding, directional_flooding, pcg_edges
 from .query import evaluate_reference
+from .voters import merge_pair, voter_column
 
 __all__ = [
     "blocking_candidates",
     "classic_flooding",
     "directional_flooding",
     "evaluate_reference",
+    "merge_pair",
     "pcg_edges",
+    "voter_column",
 ]

@@ -107,20 +107,6 @@ class TestHypothesisDifferential:
             for (gd, gs), (bd, bs) in zip(got, brute):
                 assert abs(gs - bs) <= TOLERANCE, (a, gd, bd)
 
-    @given(corpora, st.floats(min_value=0.0, max_value=1.0, allow_nan=False))
-    @settings(max_examples=40)
-    def test_all_pairs_min_sim_threshold(self, texts, min_sim):
-        corpus, sparse, ids = build(texts)
-        table = sparse.all_pairs(min_sim=min_sim)
-        for pair, sim in table.items():
-            assert sim >= min_sim
-        # nothing at or above the threshold is missing
-        for i, a in enumerate(ids):
-            for b in ids[i + 1:]:
-                want = corpus.cosine(a, b)
-                if want > min_sim + TOLERANCE:
-                    assert (a, b) in table, (a, b, want)
-
     @given(corpora)
     @settings(max_examples=40)
     def test_group_filter_skips_same_group_pairs(self, texts):
@@ -264,17 +250,17 @@ class TestAllPairsBackends:
             assert abs(sim - csr[pair]) <= TOLERANCE
 
     @needs_numpy
-    @given(corpora, st.floats(min_value=0.0, max_value=1.0, allow_nan=False))
+    @given(corpora)
     @settings(max_examples=40)
-    def test_csr_min_sim_and_groups_match_merge(self, texts, min_sim):
+    def test_csr_groups_match_merge(self, texts):
         corpus = TfIdfCorpus()
         for i, text in enumerate(texts):
             corpus.add_document(f"doc{i}", text)
         ids = [f"doc{i}" for i in range(len(texts))]
         evens = {doc for i, doc in enumerate(ids) if i % 2 == 0}
         group_of = lambda doc: doc in evens
-        merge = merge_all_pairs(corpus, min_sim=min_sim, group_of=group_of)
-        csr = SparseTfIdf(corpus).all_pairs(min_sim=min_sim, group_of=group_of)
+        merge = merge_all_pairs(corpus, group_of=group_of)
+        csr = SparseTfIdf(corpus).all_pairs(group_of=group_of)
         assert csr.keys() == merge.keys()
         for pair, sim in merge.items():
             assert abs(sim - csr[pair]) <= TOLERANCE
