@@ -25,6 +25,7 @@ multiset, always.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from operator import itemgetter
 from typing import (
     AbstractSet,
     Any,
@@ -40,7 +41,6 @@ from typing import (
 from ..core.errors import QueryError
 from .store import TripleStore
 from .term import IRI, Literal, Term, term_sort_key
-from .triple import Triple
 
 
 @dataclass(frozen=True, order=True)
@@ -116,26 +116,6 @@ def _invalid_resolution(
     if subject is not None and isinstance(subject, Literal):
         return True  # literals are never subjects
     return False
-
-
-def _extend(
-    pattern: TriplePattern, triple: Triple, binding: Binding
-) -> Optional[Binding]:
-    """Bind the pattern's variables against one matching triple, or None
-    if a repeated variable would take two different values."""
-    extended = dict(binding)
-    for part, value in (
-        (pattern.subject, triple.subject),
-        (pattern.predicate, triple.predicate),
-        (pattern.object, triple.object),
-    ):
-        if isinstance(part, Variable):
-            bound = extended.get(part)
-            if bound is None:
-                extended[part] = value
-            elif bound != value:
-                return None
-    return extended
 
 
 def _finalize(query: Query, solutions: List[Binding]) -> List[Binding]:
@@ -287,6 +267,98 @@ def _candidate_set(
     return store.object_set(subject, predicate)
 
 
+#: a resolved (s, p, o) pattern; None marks a wildcard
+ResolvedPattern = Tuple[Optional[Term], ...]
+
+
+def _read(store: TripleStore, key: ResolvedPattern) -> tuple:
+    """The memo entry for one resolved pattern: per matching statement,
+    in index order, the value of its one wildcard position, or the tuple
+    of its wildcard positions' values when it has none or several.
+
+    A bound predicate with one wildcard reads one index slot, and a fully
+    bound pattern tests membership in one; only the rare shapes with a
+    wildcard predicate or two wildcards go through :meth:`TripleStore.match`.
+    """
+    subject, predicate, obj = key
+    if predicate is not None:
+        if subject is not None:
+            objects = store.object_set(subject, predicate)
+            if obj is None:
+                return tuple(objects)
+            return ((),) if obj in objects else ()
+        if obj is not None:
+            return tuple(store.subject_set(predicate, obj))
+    pick = itemgetter(*(i for i, part in enumerate(key) if part is None))
+    return tuple(
+        pick((triple.subject, triple.predicate, triple.object))
+        for triple in store.match(subject, predicate, obj)
+    )
+
+
+def _join(
+    store: TripleStore,
+    pattern: TriplePattern,
+    solutions: List[Binding],
+    memo: Dict[ResolvedPattern, tuple],
+    step: PlanStep,
+) -> List[Binding]:
+    """One unfused join step, run set-at-a-time.
+
+    Every solution alive at a step binds the same variables, so each
+    position is classified once: a constant, a bound variable (read off
+    each binding) or a free variable (bound by the match).  Each distinct
+    resolved pattern reads the store once through the memo, and a binding
+    extends by one copy and one assignment per match; a free variable
+    repeated within the pattern must take the same value at each place.
+    """
+    probe = solutions[0]
+    parts = (pattern.subject, pattern.predicate, pattern.object)
+    s_var, p_var, o_var = (
+        part if isinstance(part, Variable) and part in probe else None
+        for part in parts
+    )
+    free = [part for part in parts
+            if isinstance(part, Variable) and part not in probe]
+    single = free[0] if len(free) == 1 else None
+    subject, predicate, obj = (
+        None if isinstance(part, Variable) else part for part in parts
+    )
+    if _invalid_resolution(subject, predicate):
+        return []
+    # a bound subject or predicate can still take a value that cannot match
+    check = s_var is not None or p_var is not None
+    out: List[Binding] = []
+    append = out.append
+    for binding in solutions:
+        key = (
+            subject if s_var is None else binding[s_var],
+            predicate if p_var is None else binding[p_var],
+            obj if o_var is None else binding[o_var],
+        )
+        if check and _invalid_resolution(key[0], key[1]):
+            continue
+        rows = memo.get(key)
+        if rows is None:
+            rows = memo[key] = _read(store, key)
+        else:
+            step.memo_hits += 1
+        if single is not None:
+            for value in rows:
+                extended = binding.copy()
+                extended[single] = value
+                append(extended)
+        else:
+            for row in rows:
+                extended = binding.copy()
+                for var, value in zip(free, row):
+                    if extended.setdefault(var, value) != value:
+                        break
+                else:
+                    append(extended)
+    return out
+
+
 def evaluate_planned(
     store: TripleStore, query: Query, plan: Optional[QueryPlan] = None
 ) -> List[Binding]:
@@ -300,9 +372,9 @@ def evaluate_planned(
     """
     solutions: List[Binding] = [{}]
     remaining = list(query.patterns)
-    #: resolved (s, p, o) pattern → matching triples; valid for one store
-    #: revision, flushed if a filter (or listener) mutates mid-query.
-    memo: Dict[Tuple[Optional[Term], ...], List[Triple]] = {}
+    #: resolved (s, p, o) pattern → its matches as :func:`_read` gives
+    #: them; valid for one store revision, flushed if the store moved.
+    memo: Dict[ResolvedPattern, tuple] = {}
     memo_revision = store.revision
     if plan is not None:
         plan.store_revision = store.revision
@@ -324,8 +396,8 @@ def evaluate_planned(
                 if _single_unbound_var(other, probe) == join_var:
                     step.fused.append(other)
                     remaining.remove(other)
-        next_solutions: List[Binding] = []
         if step.fused:
+            next_solutions: List[Binding] = []
             for binding in solutions:
                 candidates = _candidate_set(store, pattern, binding, join_var)
                 for other in step.fused:
@@ -339,23 +411,10 @@ def evaluate_planned(
                     extended[join_var] = value
                     next_solutions.append(extended)
         else:
-            for binding in solutions:
-                resolved = pattern.resolve(binding)
-                if _invalid_resolution(resolved[0], resolved[1]):
-                    continue
-                if store.revision != memo_revision:
-                    memo.clear()
-                    memo_revision = store.revision
-                triples = memo.get(resolved)
-                if triples is None:
-                    triples = list(store.match(*resolved))
-                    memo[resolved] = triples
-                else:
-                    step.memo_hits += 1
-                for triple in triples:
-                    extended = _extend(pattern, triple, binding)
-                    if extended is not None:
-                        next_solutions.append(extended)
+            if store.revision != memo_revision:
+                memo.clear()
+                memo_revision = store.revision
+            next_solutions = _join(store, pattern, solutions, memo, step)
         solutions = next_solutions
         step.actual = len(solutions)
         if plan is not None:

@@ -109,6 +109,10 @@ _cosine_stats = CacheStats()
 _jw_cache: Dict[Tuple[str, str, float], float] = {}
 _me_row_cache: Dict[Tuple[str, Tuple[str, ...]], float] = {}
 _ngram_cache: Dict[Tuple[str, int], frozenset] = {}
+#: Porter stems by input word, filled by :func:`repro.text.stemmer.stem`.
+#: Cleared with the rest but absent from :func:`cache_stats`, whose
+#: counters cover the similarity caches only.
+_stem_cache: Dict[str, str] = {}
 
 
 def cache_stats() -> Dict[str, Dict[str, float]]:
@@ -139,6 +143,7 @@ def clear_caches() -> None:
     _jw_cache.clear()
     _me_row_cache.clear()
     _ngram_cache.clear()
+    _stem_cache.clear()
     for stats in (_token_jw_stats, _me_row_stats, _ngram_stats, _cosine_stats):
         stats.reset()
 

@@ -2,12 +2,19 @@
 
 Harmony's linguistic preprocessing stems tokens so that ``shipping`` /
 ``shipped`` / ``ships`` all compare equal.  This is a faithful
-implementation of the original algorithm's five steps.
+implementation of the original algorithm's five steps
+(:func:`porter_stem`); :func:`stem` memoizes it process-wide, because
+a schema's vocabulary is small and every match stems it again — path
+keys re-stem each ancestor's name, leaf tokens each descendant's, and
+TF-IDF every documentation word.  ``kernels.clear_caches()`` drops the
+memo with the similarity caches.
 """
 
 from __future__ import annotations
 
 from typing import Iterable, List
+
+from .kernels import MAX_CACHE_ENTRIES, _stem_cache
 
 _VOWELS = frozenset("aeiou")
 
@@ -93,14 +100,14 @@ _STEP4 = (
 )
 
 
-def stem(word: str) -> str:
-    """Stem one lowercase word.
+def porter_stem(word: str) -> str:
+    """Stem one word, case-folded, without the memo.
 
-    >>> stem("shipping")
+    >>> porter_stem("shipping")
     'ship'
-    >>> stem("relational")
+    >>> porter_stem("relational")
     'relat'
-    >>> stem("aviation")
+    >>> porter_stem("aviation")
     'aviat'
     """
     word = word.lower()
@@ -175,6 +182,22 @@ def stem(word: str) -> str:
         word = word[:-1]
 
     return word
+
+
+def stem(word: str) -> str:
+    """Stem one word through the process-wide memo.
+
+    >>> stem("shipping")
+    'ship'
+    >>> stem("Shipping")
+    'ship'
+    """
+    value = _stem_cache.get(word)
+    if value is None:
+        if len(_stem_cache) >= MAX_CACHE_ENTRIES:
+            _stem_cache.clear()
+        value = _stem_cache[word] = porter_stem(word)
+    return value
 
 
 def stem_all(tokens: Iterable[str]) -> List[str]:

@@ -15,12 +15,20 @@ counts (see ``repro.rdf.query.explain``).
 
 from __future__ import annotations
 
-from typing import List, Tuple
+from typing import List, Optional, Tuple
 
-from ..rdf.query import Query, QueryPlan, TriplePattern, Variable, evaluate, explain
+from ..rdf.query import (
+    Binding,
+    Query,
+    QueryPlan,
+    TriplePattern,
+    Variable,
+    evaluate,
+    explain,
+)
 from ..rdf.schema_rdf import matrix_iri, schema_iri
 from ..rdf.store import TripleStore
-from ..rdf.term import IRI, Literal, literal
+from ..rdf.term import IRI, Literal, Term, literal
 from ..rdf import vocabulary as V
 
 CELL = Variable("cell")
@@ -30,15 +38,28 @@ NAME = Variable("name")
 USER = Variable("user")
 
 
+def _confidence(term: Term) -> Optional[float]:
+    """A cell's confidence-score as a float, or None where it is not a
+    numeric literal (a non-literal, or a hand-written ``"high"``)."""
+    if not isinstance(term, Literal):
+        return None
+    try:
+        return float(term.to_python())
+    except (ValueError, OverflowError):
+        return None
+
+
 def strong_cells_query(matrix_name: str, threshold: float = 0.5) -> Query:
     """The BGP + filter behind :func:`strong_cells`."""
+
+    def strong(binding: Binding) -> bool:
+        score = _confidence(binding[CONFIDENCE])
+        return score is not None and score > threshold
+
     query = Query()
     query.where(matrix_iri(matrix_name), V.HAS_CELL, CELL)
     query.where(CELL, V.CONFIDENCE_SCORE, CONFIDENCE)
-    query.filter(
-        lambda binding: isinstance(binding[CONFIDENCE], Literal)
-        and float(binding[CONFIDENCE].to_python()) > threshold
-    )
+    query.filter(strong)
     return query
 
 
@@ -49,10 +70,11 @@ def strong_cells(
 
     Returns (cell IRI string, confidence), strongest first and ties in
     cell IRI order, so equal stores answer with equal lists whatever
-    order they were written in.
+    order they were written in.  A confidence that is not a numeric
+    literal never counts as strong.
     """
     rows = [
-        (str(binding[CELL]), float(binding[CONFIDENCE].to_python()))
+        (str(binding[CELL]), _confidence(binding[CONFIDENCE]))
         for binding in evaluate(store, strong_cells_query(matrix_name, threshold))
     ]
     return sorted(rows, key=lambda r: (-r[1], r[0]))

@@ -6,18 +6,18 @@ statistics, memo or bind-joins.  ``repro.rdf.query.evaluate`` returns
 the same solution multiset (tests/rdf/test_query_planner.py).
 """
 
-from typing import Iterator, List
+from typing import Iterator, List, Optional
 
 from repro.rdf.query import (
     Binding,
     Query,
     TriplePattern,
     Variable,
-    _extend,
     _finalize,
     _invalid_resolution,
 )
 from repro.rdf.store import TripleStore
+from repro.rdf.triple import Triple
 
 
 def _bound_count(pattern: TriplePattern, binding: Binding) -> int:
@@ -26,6 +26,26 @@ def _bound_count(pattern: TriplePattern, binding: Binding) -> int:
         1 for part in (pattern.subject, pattern.predicate, pattern.object)
         if not isinstance(part, Variable) or part in binding
     )
+
+
+def _extend(
+    pattern: TriplePattern, triple: Triple, binding: Binding
+) -> Optional[Binding]:
+    """Bind the pattern's variables against one matching triple, or None
+    if a repeated variable would take two different values."""
+    extended = dict(binding)
+    for part, value in (
+        (pattern.subject, triple.subject),
+        (pattern.predicate, triple.predicate),
+        (pattern.object, triple.object),
+    ):
+        if isinstance(part, Variable):
+            bound = extended.get(part)
+            if bound is None:
+                extended[part] = value
+            elif bound != value:
+                return None
+    return extended
 
 
 def _match_pattern(

@@ -52,6 +52,63 @@ queries = st.lists(patterns, min_size=1, max_size=4).map(
     lambda ps: Query(patterns=ps)
 )
 
+# A widened universe where some objects are also subjects or predicates,
+# so a variable bound in object position joins in the other two.  Every
+# store holds a literal object, which must match nothing once it flows
+# into subject position, and statements whose repeated terms give a
+# repeated variable something to match.
+LINKED_OBJECTS = OBJECTS + SUBJECTS[:2] + PREDICATES[:1]
+LITERAL_ROW = (SUBJECTS[0], PREDICATES[0], literal("x"))
+SELF_LOOP = (SUBJECTS[1], PREDICATES[1], SUBJECTS[1])
+OWN_PREDICATE = (PREDICATES[0], PREDICATES[0], SUBJECTS[1])
+PREDICATE_OBJECT = (SUBJECTS[2], PREDICATES[0], PREDICATES[0])
+linked_triples = st.tuples(
+    st.sampled_from(SUBJECTS + PREDICATES[:1]),
+    st.sampled_from(PREDICATES),
+    st.sampled_from(LINKED_OBJECTS),
+)
+
+
+@st.composite
+def shaped_cases(draw):
+    """A store, and a query that surely holds one shape the planner's
+    join step must get right: a pattern repeating one variable, a
+    variable predicate, or a chain carrying an object variable (a
+    literal, at times) into subject position.  Patterns are seeded from
+    stored statements, some positions turned into variables, so most
+    queries have solutions; up to two seeded patterns join the shape."""
+    rows = draw(st.lists(linked_triples, max_size=25)) + [
+        LITERAL_ROW, SELF_LOOP, OWN_PREDICATE, PREDICATE_OBJECT]
+    var = draw(st.sampled_from(VARIABLES))
+
+    def seeded(row, forced):
+        return TriplePattern(*(
+            forced[i] if i in forced
+            else draw(st.one_of(st.just(term), st.sampled_from(VARIABLES)))
+            for i, term in enumerate(row)
+        ))
+
+    head = draw(st.sampled_from(rows))
+    shapes = [
+        [seeded(SELF_LOOP, {0: var, 2: var})],
+        [seeded(OWN_PREDICATE, {0: var, 1: var})],
+        [seeded(PREDICATE_OBJECT, {1: var, 2: var})],
+        [seeded(head, {1: var})],
+    ]
+    tails = [row for row in rows if row[0] == head[2]]
+    if tails:
+        shapes.append([seeded(head, {0: head[0], 2: var}),
+                       seeded(draw(st.sampled_from(tails)), {0: var})])
+    else:
+        shapes.append([seeded(head, {0: head[0], 2: var}),
+                       TriplePattern(var, draw(st.sampled_from(PREDICATES)),
+                                     draw(st.sampled_from(VARIABLES)))])
+    extra = [seeded(draw(st.sampled_from(rows)), {})
+             for _ in range(draw(st.integers(0, 2)))]
+    query = Query(patterns=list(draw(st.permutations(
+        draw(st.sampled_from(shapes)) + extra))))
+    return rows, query
+
 
 def build_store(rows):
     store = TripleStore()
@@ -76,6 +133,17 @@ class TestPlannedVsReference:
         reference = evaluate_reference(store, query)
         assert solution_multiset(planned) == solution_multiset(reference)
 
+    @given(shaped_cases())
+    @settings(max_examples=150, deadline=None)
+    def test_same_solution_multiset_on_shaped_queries(self, case):
+        """Repeated variables, variable predicates and literals carried
+        into subject position, on stores whose objects join onward."""
+        rows, query = case
+        store = build_store(rows)
+        planned = evaluate_planned(store, query)
+        reference = evaluate_reference(store, query)
+        assert solution_multiset(planned) == solution_multiset(reference)
+
     @given(stores, queries)
     @settings(max_examples=60, deadline=None)
     def test_explain_solutions_match_evaluation(self, rows, query):
@@ -95,6 +163,21 @@ class TestPlannedVsReference:
         assert solution_multiset(evaluate(store, query)) == solution_multiset(
             evaluate_reference(store, query)
         )
+
+    def test_literal_carried_into_subject_matches_nothing(self):
+        """A variable bound to a literal object, then used as a subject,
+        drops that binding; an IRI object joins onward."""
+        store = build_store([
+            LITERAL_ROW,
+            (SUBJECTS[0], PREDICATES[0], SUBJECTS[1]),
+            (SUBJECTS[1], PREDICATES[1], OBJECTS[0]),
+        ])
+        a, b = Variable("a"), Variable("b")
+        query = (Query().where(SUBJECTS[0], PREDICATES[0], a)
+                 .where(a, PREDICATES[1], b))
+        for solutions in (evaluate_planned(store, query),
+                          evaluate_reference(store, query)):
+            assert [(x[a], x[b]) for x in solutions] == [(SUBJECTS[1], OBJECTS[0])]
 
     def test_repeated_variable_pattern(self):
         """(?x p ?x) must only match triples whose subject equals object."""

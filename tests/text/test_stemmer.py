@@ -1,8 +1,18 @@
-"""Tests for the Porter stemmer against known reference outputs."""
+"""Tests for the Porter stemmer against known reference outputs, and
+for its process-wide memo."""
 
+import json
+import os
+import string
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
 import pytest
 
-from repro.text import stem, stem_all
+from repro.text import kernels, split_identifier, stem, stem_all
+from repro.text.stemmer import porter_stem
+
+GOLDEN = os.path.join(os.path.dirname(__file__), "golden_schema_tokens.json")
 
 
 class TestKnownStems:
@@ -104,3 +114,45 @@ class TestEdgeCases:
 
     def test_stem_all(self):
         assert stem_all(["orders", "shipped"]) == ["order", "ship"]
+
+
+class TestMemo:
+    """``stem`` answers through a process-wide memo that
+    ``kernels.clear_caches()`` drops, so a cold match starts cold."""
+
+    @staticmethod
+    def golden_words():
+        with open(GOLDEN) as handle:
+            golden = json.load(handle)
+        words = list(golden["tokens"])
+        words += [t for tokens in golden["token_lists"] for t in tokens]
+        words += [t for name in golden["names"] for t in split_identifier(name)]
+        return words
+
+    def test_memo_equals_uncached_on_schema_tokens(self):
+        kernels.clear_caches()
+        words = self.golden_words()
+        assert [stem(w) for w in words] == [porter_stem(w) for w in words]
+        # second pass answers from the memo
+        assert [stem(w) for w in words] == [porter_stem(w) for w in words]
+
+    @given(st.text(alphabet=string.ascii_letters, max_size=16))
+    @settings(max_examples=200, deadline=None)
+    def test_memo_equals_uncached(self, word):
+        assert stem(word) == porter_stem(word)
+        assert stem(word) == porter_stem(word)
+
+    def test_clear_caches_empties_the_memo(self):
+        stem("shipping")
+        assert kernels._stem_cache
+        kernels.clear_caches()
+        assert not kernels._stem_cache
+        assert stem("shipping") == "ship"
+
+    def test_memo_stays_out_of_cache_stats(self):
+        """``cache_stats`` covers the similarity caches only; stemming
+        moves none of its counters."""
+        kernels.clear_caches()
+        before = kernels.cache_stats()
+        stem_all(["orders", "shipped", "orders"])
+        assert kernels.cache_stats() == before
