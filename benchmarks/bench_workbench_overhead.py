@@ -154,8 +154,7 @@ def test_a7_bulk_store_mutation(benchmark, perf_record):
 
 def test_a7_durable_blackboard(benchmark, tmp_path, perf_record, report):
     """The durability tax and refund: WAL-on matrix writes vs in-memory,
-    snapshot+replay reopen, and delta-shipping to an in-process replica."""
-    from repro.rdf import DurableStore, ReplicationLink
+    and snapshot+replay reopen."""
 
     matrix = MappingMatrix("durable-bench")
     for i in range(MATRIX_SIDE):
@@ -193,28 +192,12 @@ def test_a7_durable_blackboard(benchmark, tmp_path, perf_record, report):
     assert len(board.store) == triples
     benchmark(reopen)
 
-    # replica delta-shipping over the same write workload
-    replica_dir = str(tmp_path / "replica-primary")
-    primary = DurableStore(replica_dir, fsync="never")
-    link = ReplicationLink(primary)
-    replica = link.attach()
-    t0 = time.perf_counter()
-    board = IntegrationBlackboard(store=primary.store)
-    board.put_matrix(matrix)
-    shipped = link.pump()
-    ship_wall = time.perf_counter() - t0
-    assert replica.store.snapshot() == primary.store.snapshot()
-    link.close()
-    primary.close()
-
     perf_record("A7_durable_blackboard", {
         "store_triples": triples,
         "memory_write_wall_s": round(memory_wall, 4),
         "durable_write_wall_s": round(durable_wall, 4),
         "wal_bytes": wal_bytes,
         "reopen_wall_s": round(reopen_wall, 4),
-        "replica_frames_shipped": shipped,
-        "replica_ship_wall_s": round(ship_wall, 4),
     })
     report(
         "A7_durable_blackboard",
@@ -223,9 +206,8 @@ def test_a7_durable_blackboard(benchmark, tmp_path, perf_record, report):
         f"  WAL-backed write (fsync=commit): {durable_wall*1000:.1f} ms "
         f"({wal_bytes} WAL bytes)\n"
         f"  snapshot reopen: {reopen_wall*1000:.1f} ms\n"
-        f"  replica catch-up: {shipped} frames in {ship_wall*1000:.1f} ms\n"
-        "shape: logging adds a bounded constant to each write; recovery and "
-        "replication ride the same frame stream",
+        "shape: logging adds a bounded constant to each write; recovery "
+        "replays the same frames",
     )
 
 

@@ -75,13 +75,6 @@ and enforces these guards:
   ``SCHEMA_SERIALIZE_MIN_SPEEDUP`` times faster than the remove +
   full-rewrite discipline ``put_schema`` used before, producing the
   byte-identical store state every round.
-* **all-pairs micro-benchmark** — the documentation voter's
-  cross-partition ``SparseTfIdf.all_pairs`` sweep over a 12-model
-  registry documentation corpus through the CSR matmul route must run
-  at least ``ALLPAIRS_MIN_SPEEDUP`` times faster than the postings
-  sorted-merge reference (the route taken where NumPy is not
-  importable), with identical pair membership and values within 1e-12.
-  Skipped (with a note) when NumPy is not importable.
 * **blocking-index micro-benchmark** — across a series of single-element
   evolutions, retrieval through the patched persistent
   ``BlockingIndex`` must run at least ``BLOCKING_MIN_SPEEDUP`` times
@@ -135,6 +128,9 @@ and enforces these guards:
   In practice pruning *improves* truth F1 here — the exhaustive sweep
   wires weak cross-family links into transitive chains that hub
   selection never scores.
+
+Each run writes its numbers to ``benchmarks/out/perf_smoke.json``
+(untracked), so running the check leaves the checkout clean.
 
 Usage::
 
@@ -209,8 +205,6 @@ from repro.rdf import vocabulary as V
 from repro.workbench import IntegrationBlackboard, MatcherTool, WorkbenchManager
 from repro.registry import RegistryProfile, generate_registry
 from repro.text import SparseTfIdf, TfIdfCorpus, kernels, similarity
-from repro.text import tfidf_sparse
-from repro.text.tfidf_sparse import all_pairs_stats, reset_all_pairs_stats
 from repro.text.tokenize import split_identifier
 
 from nway_workload import NWAY_THRESHOLD, family_workload
@@ -224,7 +218,8 @@ sys.path.insert(0, os.path.join(os.path.dirname(HERE), "tests", "workbench"))
 from matrix_oracle import oracle_changes  # noqa: E402
 from tests.oracles import classic_flooding, evaluate_reference  # noqa: E402
 BASELINE_PATH = os.path.join(HERE, "results", "BENCH_perf_baseline.json")
-PERF_PATH = os.path.join(HERE, "results", "BENCH_perf.json")
+#: this run's numbers; gitignored, overwritten by every run
+RUN_PATH = os.path.join(HERE, "out", "perf_smoke.json")
 
 #: the fast path must beat the default path by at least this factor
 MIN_SPEEDUP = 2.0
@@ -248,8 +243,6 @@ REFINE_ROUNDS = 4
 C_SWEEP_MIN_SPEEDUP = 20.0
 #: delta schema re-serialization must beat remove + full rewrite by this
 SCHEMA_SERIALIZE_MIN_SPEEDUP = 3.0
-#: the CSR all_pairs matmul must beat the postings merge by this factor
-ALLPAIRS_MIN_SPEEDUP = 2.0
 #: patched blocking-index retrieval must beat a cold build by this factor
 BLOCKING_MIN_SPEEDUP = 3.0
 #: delta re-serialization must beat the per-cell rewrite by this factor
@@ -1140,94 +1133,6 @@ def _schema_serialize_microbench(source):
     }
 
 
-ALLPAIRS_MODELS = 12
-
-
-def _allpairs_microbench():
-    """The documentation voter's cross-partition sweep at registry scale:
-    a 12-model registry's documentation corpus, partitioned the way
-    ``warm_pair_sims`` does — one schema's docs as the source group
-    against everything else.  The postings sorted-merge reference (run
-    as it runs where NumPy is not importable) vs the CSR matmul route,
-    best-of-2 after a warm pass, with identical pair membership and
-    1e-12 value agreement.  Skipped (with a note) when NumPy is not
-    importable."""
-    profile = RegistryProfile(
-        model_count=ALLPAIRS_MODELS,
-        elements_per_model=10,
-        attributes_per_element=8,
-        domain_values_per_attribute=0.5,
-    )
-    registry = generate_registry(seed=77, scale=1.0, profile=profile,
-                                 name="allpairs-bench")
-    loaded = load_registry(registry)
-    corpus = TfIdfCorpus()
-    group_a = set()
-    first = loaded.schemas[0].name
-    for graph in loaded.schemas:
-        for element in graph:
-            if element.documentation:
-                doc = f"{graph.name}::{element.element_id}"
-                corpus.add_document(doc, element.documentation)
-                if graph.name == first:
-                    group_a.add(doc)
-
-    def group_of(doc):
-        return doc in group_a
-
-    reset_all_pairs_stats()
-    merge = SparseTfIdf(corpus)
-    probe_numpy = tfidf_sparse._probe_numpy
-    tfidf_sparse._probe_numpy = lambda: None  # route to the postings merge
-    try:
-        merge_table = merge.all_pairs(group_of=group_of)  # warm the lazy pack
-        merge_wall = float("inf")
-        for _ in range(2):
-            t0 = time.perf_counter()
-            merge.all_pairs(group_of=group_of)
-            merge_wall = min(merge_wall, time.perf_counter() - t0)
-    finally:
-        tfidf_sparse._probe_numpy = probe_numpy
-
-    result = {
-        "allpairs_docs": len(corpus),
-        "allpairs_pairs": len(merge_table),
-        "allpairs_merge_wall_s": round(merge_wall, 4),
-    }
-    if probe_numpy() is None:
-        print("note: numpy not importable; all-pairs CSR gate skipped")
-        return result
-    csr = SparseTfIdf(corpus)
-    csr_table = csr.all_pairs(group_of=group_of)
-    csr_wall = float("inf")
-    for _ in range(2):
-        t0 = time.perf_counter()
-        csr.all_pairs(group_of=group_of)
-        csr_wall = min(csr_wall, time.perf_counter() - t0)
-
-    if set(csr_table) != set(merge_table):
-        raise AssertionError("CSR all_pairs scored a different pair set")
-    worst = max(abs(csr_table[p] - merge_table[p]) for p in merge_table)
-    if worst > SPARSE_TOLERANCE:
-        raise AssertionError(
-            f"CSR all_pairs drifted from the postings merge by {worst} "
-            f"(> {SPARSE_TOLERANCE})")
-    routing = all_pairs_stats()
-    if routing["allpairs_merge_sweeps"] != 3 or routing["allpairs_csr_sweeps"] != 3:
-        raise AssertionError(
-            f"all_pairs routing counters {routing} — each arm must have "
-            f"run its own backend exactly three times (warm + best-of-2)")
-    if routing["allpairs_csr_oversize_fallbacks"] != 0:
-        raise AssertionError(
-            "the CSR arm fell back to the merge on an oversize guard — "
-            "the bench corpus no longer fits the dense budget")
-    result.update({
-        "allpairs_csr_wall_s": round(csr_wall, 4),
-        "allpairs_speedup": round(merge_wall / csr_wall, 2),
-    })
-    return result
-
-
 PLANNER_MATRIX_SIDE = 40
 PLANNER_ROUNDS = 20
 
@@ -1628,7 +1533,6 @@ def main(argv) -> int:
     result.update(_embedding_microbench(source, target))
     result.update(_serialize_microbench())
     result.update(_schema_serialize_microbench(source))
-    result.update(_allpairs_microbench())
     result.update(_durability_microbench(source, target))
     result.update(_nway_parallel_microbench())
     result.update(_serving_microbench(source, target))
@@ -1637,19 +1541,9 @@ def main(argv) -> int:
     for key, value in result.items():
         print(f"  {key:>16}: {value}")
 
-    os.makedirs(os.path.dirname(BASELINE_PATH), exist_ok=True)
-    # mirror conftest.perf_record's merge discipline: refresh this run's
-    # entry without erasing the pytest benches' numbers
-    merged = {}
-    if os.path.exists(PERF_PATH):
-        try:
-            with open(PERF_PATH, "r", encoding="utf-8") as handle:
-                merged = json.load(handle)
-        except (OSError, ValueError):
-            merged = {}
-    merged["perf_smoke"] = result
-    with open(PERF_PATH, "w", encoding="utf-8") as handle:
-        json.dump(merged, handle, indent=2, sort_keys=True)
+    os.makedirs(os.path.dirname(RUN_PATH), exist_ok=True)
+    with open(RUN_PATH, "w", encoding="utf-8") as handle:
+        json.dump({"perf_smoke": result}, handle, indent=2, sort_keys=True)
         handle.write("\n")
 
     if write_baseline:
@@ -1703,11 +1597,6 @@ def main(argv) -> int:
             f"{result['schema_serialize_speedup']:.2f}x faster than the "
             f"remove + full-rewrite path "
             f"(required >= {SCHEMA_SERIALIZE_MIN_SPEEDUP}x)")
-    if ("allpairs_speedup" in result
-            and result["allpairs_speedup"] < ALLPAIRS_MIN_SPEEDUP):
-        failures.append(
-            f"CSR all_pairs only {result['allpairs_speedup']:.2f}x faster "
-            f"than the postings merge (required >= {ALLPAIRS_MIN_SPEEDUP}x)")
     if result["blocking_index_speedup"] < BLOCKING_MIN_SPEEDUP:
         failures.append(
             f"patched blocking only {result['blocking_index_speedup']:.2f}x "

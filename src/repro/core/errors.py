@@ -79,10 +79,6 @@ class DurabilityError(StoreError):
     the store it was applied to."""
 
 
-class ReplicationError(StoreError):
-    """A replica was fed frames it cannot safely apply (gap, drift)."""
-
-
 class TransactionError(WorkbenchError):
     """A blackboard transaction was used incorrectly."""
 

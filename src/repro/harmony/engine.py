@@ -63,8 +63,7 @@ class EngineConfig:
     TF-IDF cosine, compiled flooding fixpoints and a bulk matrix write.
     Where a stage has an accelerated kernel, what is installed picks it,
     not a knob: the flooding sweeps run in C when the ``_csweep``
-    extension is built, and the documentation cosine uses NumPy when it
-    imports.  The knobs left are behavioural (flooding mode, learning,
+    extension is built.  The knobs left are behavioural (flooding mode, learning,
     candidate blocking, context reuse, the embedding voter) plus
     ``embed_backend``.  The defaults score the full cross-product and
     rebuild the context every run; :meth:`fast` turns on blocking and

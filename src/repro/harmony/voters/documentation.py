@@ -27,9 +27,7 @@ class DocumentationVoter(ColumnVoter):
         """Score every cross-schema pair sharing vocabulary in one
         postings sweep (``SparseTfIdf.all_pairs``) before scoring
         starts — scoring then only does table lookups, and pairs absent
-        from the table have cosine exactly 0.0.  The sweep itself is a
-        NumPy CSR matmul when NumPy is importable, the dependency-free
-        postings merge otherwise."""
+        from the table have cosine exactly 0.0."""
         context.warm_pair_sims()
 
     def applicable(self, source: SchemaElement, target: SchemaElement) -> bool:

@@ -12,8 +12,9 @@ set so the datatype match voter can compare across metamodels.
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from typing import Dict, Optional
+from typing import Any, Dict, Iterator, Optional
 
+from ..core.errors import LoaderError
 from ..core.graph import SchemaGraph
 
 #: Canonical datatypes shared by every metamodel.
@@ -91,6 +92,46 @@ def normalize_type(native: Optional[str]) -> Optional[str]:
     if cleaned in CANONICAL_TYPES:
         return cleaned
     return _TYPE_MAP.get(cleaned, cleaned)
+
+
+#: an optional text field: a string, or absent / null
+STRING_OR_NULL = (str, type(None))
+
+#: what each JSON shape the loaders expect is called in their errors
+_JSON_SHAPES = {
+    dict: "a JSON object",
+    list: "a JSON array",
+    str: "a string",
+    STRING_OR_NULL: "a string",
+}
+
+
+def json_field(spec: Dict[str, Any], key: str, shape: Any,
+               default: Any = None) -> Any:
+    """``spec.get(key, default)``, or :class:`LoaderError` naming *key*
+    when the value is not of *shape* (a key of ``_JSON_SHAPES``).
+
+    The JSON loaders read every field through this as they walk the
+    parsed document, so input of the wrong shape fails as a loader
+    error instead of a ``TypeError`` or ``AttributeError`` further in.
+    """
+    value = spec.get(key, default)
+    if not isinstance(value, shape):
+        raise LoaderError(
+            f"{key!r} must be {_JSON_SHAPES[shape]}, "
+            f"got {type(value).__name__}")
+    return value
+
+
+def json_objects(spec: Dict[str, Any], key: str) -> Iterator[Dict[str, Any]]:
+    """The entries of the JSON array ``spec[key]`` (absent = empty), each
+    checked to be an object as it is reached."""
+    for item in json_field(spec, key, list, []):
+        if not isinstance(item, dict):
+            raise LoaderError(
+                f"every entry of {key!r} must be a JSON object, "
+                f"got {type(item).__name__}")
+        yield item
 
 
 #: Compatibility groups for the datatype match voter: types in the same

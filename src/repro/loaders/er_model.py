@@ -38,7 +38,13 @@ from typing import Any, Dict, List, Optional
 from ..core.elements import ElementKind, SchemaElement
 from ..core.errors import LoaderError
 from ..core.graph import HAS_DOMAIN, HAS_KEY, KEY_ATTRIBUTE, REFERENCES, SchemaGraph
-from .base import SchemaLoader, normalize_type
+from .base import (
+    STRING_OR_NULL,
+    SchemaLoader,
+    json_field,
+    json_objects,
+    normalize_type,
+)
 
 
 class ErModelLoader(SchemaLoader):
@@ -57,23 +63,23 @@ class ErModelLoader(SchemaLoader):
 
     def load_dict(self, data: Dict[str, Any], schema_name: Optional[str] = None) -> SchemaGraph:
         """Load from an already-parsed dictionary."""
-        name = schema_name or data.get("name")
+        name = schema_name or json_field(data, "name", STRING_OR_NULL)
         if not name:
             raise LoaderError("ER model needs a 'name'")
         graph = SchemaGraph.create(name, documentation=data.get("documentation", ""))
 
         # domains first so attributes can reference them
-        for domain in data.get("domains", []):
+        for domain in json_objects(data, "domains"):
             self._load_domain(graph, name, domain)
         entity_ids: Dict[str, str] = {}
-        for entity in data.get("entities", []):
+        for entity in json_objects(data, "entities"):
             entity_ids[entity.get("name", "")] = self._load_entity(
                 graph, name, entity, ElementKind.ENTITY
             )
-        for rel in data.get("relationships", []):
+        for rel in json_objects(data, "relationships"):
             rel_id = self._load_entity(graph, name, rel, ElementKind.RELATIONSHIP)
             for endpoint in ("from", "to"):
-                ref = rel.get(endpoint)
+                ref = json_field(rel, endpoint, STRING_OR_NULL)
                 if ref:
                     if ref not in entity_ids:
                         raise LoaderError(
@@ -85,7 +91,7 @@ class ErModelLoader(SchemaLoader):
         return graph
 
     def _load_domain(self, graph: SchemaGraph, prefix: str, spec: Dict[str, Any]) -> None:
-        domain_name = spec.get("name")
+        domain_name = json_field(spec, "name", STRING_OR_NULL)
         if not domain_name:
             raise LoaderError("domain without a name")
         domain_id = f"{prefix}/domain:{domain_name}"
@@ -93,16 +99,20 @@ class ErModelLoader(SchemaLoader):
             prefix,
             SchemaElement(
                 domain_id, domain_name, ElementKind.DOMAIN,
-                datatype=normalize_type(spec.get("type", "string")),
+                datatype=normalize_type(json_field(spec, "type", STRING_OR_NULL, "string")),
                 documentation=spec.get("documentation", ""),
             ),
             label="contains-element",
         )
-        for value in spec.get("values", []):
+        for value in json_field(spec, "values", list, []):
             if isinstance(value, str):
                 code, doc = value, ""
-            else:
+            elif isinstance(value, dict):
                 code, doc = value.get("code", ""), value.get("documentation", "")
+            else:
+                raise LoaderError(
+                    f"every entry of 'values' must be a string or a JSON "
+                    f"object, got {type(value).__name__}")
             graph.add_child(
                 domain_id,
                 SchemaElement(
@@ -114,7 +124,7 @@ class ErModelLoader(SchemaLoader):
     def _load_entity(
         self, graph: SchemaGraph, prefix: str, spec: Dict[str, Any], kind: ElementKind
     ) -> str:
-        entity_name = spec.get("name")
+        entity_name = json_field(spec, "name", STRING_OR_NULL)
         if not entity_name:
             raise LoaderError(f"{kind.value} without a name")
         entity_id = f"{prefix}/{entity_name}"
@@ -127,14 +137,14 @@ class ErModelLoader(SchemaLoader):
             label="contains-element",
         )
         key_attrs: List[str] = []
-        for attr in spec.get("attributes", []):
-            attr_name = attr.get("name")
+        for attr in json_objects(spec, "attributes"):
+            attr_name = json_field(attr, "name", STRING_OR_NULL)
             if not attr_name:
                 raise LoaderError(f"attribute without a name in {entity_name!r}")
             attr_id = f"{entity_id}/{attr_name}"
             element = SchemaElement(
                 attr_id, attr_name, ElementKind.ATTRIBUTE,
-                datatype=normalize_type(attr.get("type", "string")),
+                datatype=normalize_type(json_field(attr, "type", STRING_OR_NULL, "string")),
                 documentation=attr.get("documentation", ""),
             )
             if "nullable" in attr:
@@ -142,7 +152,8 @@ class ErModelLoader(SchemaLoader):
             if "units" in attr:
                 element.annotate("units", attr["units"])
             if "instance_values" in attr:
-                element.annotate("instance_values", list(attr["instance_values"]))
+                element.annotate(
+                    "instance_values", list(json_field(attr, "instance_values", list)))
             graph.add_child(entity_id, element)
             if attr.get("key"):
                 key_attrs.append(attr_id)

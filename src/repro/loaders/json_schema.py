@@ -18,7 +18,7 @@ from typing import Any, Dict, Optional
 from ..core.elements import ElementKind, SchemaElement
 from ..core.errors import LoaderError
 from ..core.graph import HAS_DOMAIN, SchemaGraph
-from .base import SchemaLoader, normalize_type
+from .base import STRING_OR_NULL, SchemaLoader, json_field, normalize_type
 
 
 class JsonSchemaLoader(SchemaLoader):
@@ -36,14 +36,14 @@ class JsonSchemaLoader(SchemaLoader):
         return self.load_dict(data, schema_name=schema_name)
 
     def load_dict(self, data: Dict[str, Any], schema_name: Optional[str] = None) -> SchemaGraph:
-        name = schema_name or data.get("title") or "json-schema"
-        name = name.replace(" ", "_")
+        title = json_field(data, "title", STRING_OR_NULL)
+        name = (schema_name or title or "json-schema").replace(" ", "_")
         graph = SchemaGraph.create(name, documentation=data.get("description", ""))
         self._graph = graph
         self._root_doc = data
         self._prefix = name
         self._domain_count = 0
-        root_name = data.get("title", "root").replace(" ", "_")
+        root_name = ("root" if title is None else title).replace(" ", "_")
         self._load_node(data, parent_id=name, node_name=root_name, depth=0)
         return graph
 
@@ -65,7 +65,7 @@ class JsonSchemaLoader(SchemaLoader):
         if depth > 32:
             raise LoaderError("JSON Schema nesting too deep (cycle via $ref?)")
         if "$ref" in spec:
-            resolved = dict(self._resolve_ref(spec["$ref"]))
+            resolved = dict(self._resolve_ref(json_field(spec, "$ref", str)))
             resolved.setdefault("description", spec.get("description", ""))
             spec = resolved
         node_type = spec.get("type", "object")
@@ -77,8 +77,8 @@ class JsonSchemaLoader(SchemaLoader):
         if node_type == "object":
             element = SchemaElement(element_id, node_name, ElementKind.ELEMENT, documentation=doc)
             self._graph.add_child(parent_id, element, label="contains-element")
-            required = set(spec.get("required", []))
-            for prop_name, prop_spec in spec.get("properties", {}).items():
+            required = json_field(spec, "required", list, [])
+            for prop_name, prop_spec in json_field(spec, "properties", dict, {}).items():
                 if not isinstance(prop_spec, dict):
                     raise LoaderError(f"property {prop_name!r} is not a schema object")
                 child_spec = dict(prop_spec)
@@ -101,7 +101,8 @@ class JsonSchemaLoader(SchemaLoader):
                 element.annotate("nullable", True)
             self._graph.add_child(parent_id, element, label="contains-attribute")
             if "enum" in spec:
-                self._attach_enum_domain(element_id, node_name, spec["enum"])
+                self._attach_enum_domain(
+                    element_id, node_name, json_field(spec, "enum", list))
 
     def _attach_enum_domain(self, element_id: str, node_name: str, values) -> None:
         domain_id = f"{self._prefix}/domain:{node_name}Values"

@@ -19,6 +19,7 @@ from typing import Any, Dict, Iterator, List
 
 from ..core.errors import LoaderError
 from ..core.graph import SchemaGraph
+from .base import STRING_OR_NULL, json_field, json_objects
 from .er_model import ErModelLoader
 
 
@@ -63,10 +64,8 @@ class RegistryLoader:
         registry = MetadataRegistry(name=data.get("name", "registry"))
         er_loader = ErModelLoader()
         seen: Dict[str, int] = {}
-        for i, model in enumerate(data["models"]):
-            if not isinstance(model, dict):
-                raise LoaderError(f"model #{i} is not an object")
-            model_name = model.get("name") or f"model{i}"
+        for i, model in enumerate(json_objects(data, "models")):
+            model_name = json_field(model, "name", STRING_OR_NULL) or f"model{i}"
             # registries may repeat model names; disambiguate deterministically
             if model_name in seen:
                 seen[model_name] += 1

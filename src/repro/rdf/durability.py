@@ -1,12 +1,12 @@
-"""Durable blackboard substrate: write-ahead log, snapshots, replication.
+"""Durable blackboard substrate: write-ahead log and snapshots.
 
 The paper's integration blackboard is *"a shared repository ... intended
 to be accessed by multiple tools"* (Section 5.1); enterprise deployments
-additionally expect the repository to survive crashes and to fan heavy
-read traffic out across replicas.  This module adds both on top of the
-in-memory :class:`~repro.rdf.store.TripleStore`, using the store's
-existing change-capture seam (batch listeners + the mutation ``revision``
-counter) so durability costs O(delta), never O(store):
+additionally expect the repository to survive crashes.  This module adds
+that on top of the in-memory :class:`~repro.rdf.store.TripleStore`,
+using the store's existing change-capture seam (batch listeners + the
+mutation ``revision`` counter) so durability costs O(delta), never
+O(store):
 
 * **Write-ahead log** — every mutation batch the store reports becomes
   one framed, CRC-checked :class:`WALFrame` appended to ``store.wal``.
@@ -23,16 +23,10 @@ counter) so durability costs O(delta), never O(store):
   the store's own counter (bulk and single mutations advance the counter
   identically — see ``TripleStore.revision`` — which is what makes the
   check sound).
-* **Delta-shipping replication** — :class:`ReplicaStore` consumes the
-  same encoded frames (via :class:`ReplicationLink` in-process, or any
-  byte transport) to maintain a read-only copy answering the full
-  query/planner API; frames arriving out of order are rejected.
 
 File formats are versioned and golden-tested
 (``tests/rdf/test_durability_golden.py``); crash behaviour is
-property-tested at every byte boundary (``tests/rdf/test_wal_recovery.py``)
-and replicas are differentially tested against their primary
-(``tests/rdf/test_replication.py``).
+property-tested at every byte boundary (``tests/rdf/test_wal_recovery.py``).
 """
 
 from __future__ import annotations
@@ -41,21 +35,10 @@ import gc
 import os
 import zlib
 from dataclasses import dataclass
-from typing import (
-    Callable,
-    Deque,
-    Dict,
-    Iterable,
-    List,
-    Optional,
-    Sequence,
-    Tuple,
-)
-from collections import deque
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
-from ..core.errors import DurabilityError, ReplicationError, StoreError
+from ..core.errors import DurabilityError, StoreError
 from .faultfs import FileSystem, OS_FS
-from .query import Binding, Query, evaluate_planned
 from .store import TripleStore
 from .term import XSD_STRING, BlankNode, IRI, Literal, Term
 from .triple import Triple
@@ -66,8 +49,6 @@ __all__ = [
     "FORMAT_VERSION",
     "WALFrame",
     "DurableStore",
-    "ReplicaStore",
-    "ReplicationLink",
     "encode_snapshot",
     "decode_snapshot",
     "scan_wal",
@@ -363,8 +344,9 @@ def encode_snapshot(store: TripleStore, seq: int) -> bytes:
     Deterministic: triples are emitted in the store's canonical sorted
     order and the term table in first-appearance order, so equal stores
     produce byte-identical snapshots (golden-testable).  ``seq`` records
-    the next WAL sequence number at snapshot time, letting replicas
-    bootstrap from a snapshot and join the frame stream without a gap.
+    the next WAL sequence number at snapshot time, so a store recovered
+    from the snapshot continues the frame sequence without reusing a
+    number.
     """
     body = bytearray()
     _write_uvarint(body, store.revision)
@@ -472,9 +454,6 @@ def _apply_ops(
 
 # -- the durable primary -------------------------------------------------------
 
-#: callback receiving each appended frame and its encoded payload
-FrameListener = Callable[[WALFrame, bytes], None]
-
 _FSYNC_POLICIES = ("always", "commit", "never")
 
 
@@ -522,7 +501,6 @@ class DurableStore:
         if self._fs is OS_FS:
             os.makedirs(directory, exist_ok=True)
         self.store = TripleStore()
-        self._frame_listeners: List[FrameListener] = []
         self._wal_file = None
         self._wal_size = 0
         self._next_seq = 1
@@ -661,30 +639,12 @@ class DurableStore:
         self._wal_size += 8 + len(payload)
         self.stats["frames_appended"] += 1
         self.stats["bytes_appended"] += 8 + len(payload)
-        for listener in list(self._frame_listeners):
-            listener(frame, payload)
         if (
             self.auto_checkpoint_bytes is not None
             and not self._in_checkpoint
             and self._wal_size >= self.auto_checkpoint_bytes
         ):
             self.checkpoint()
-
-    def subscribe_frames(self, listener: FrameListener) -> Callable[[], None]:
-        """Register a replication tap; returns an unsubscriber.
-
-        The listener receives every appended :class:`WALFrame` together
-        with its encoded payload — the bytes are the transport format,
-        so shipping them over a socket instead of an in-process queue is
-        a transport swap, not a new protocol.
-        """
-        self._frame_listeners.append(listener)
-
-        def unsubscribe() -> None:
-            if listener in self._frame_listeners:
-                self._frame_listeners.remove(listener)
-
-        return unsubscribe
 
     # -- durability controls ---------------------------------------------------
 
@@ -725,15 +685,6 @@ class DurableStore:
         finally:
             self._in_checkpoint = False
 
-    def replication_bootstrap(self) -> bytes:
-        """A snapshot of the current state for seeding a new replica.
-
-        Encodes the live store (not the on-disk snapshot, which may lag)
-        with the next frame sequence number, so a replica loading it
-        joins the frame stream gap-free.
-        """
-        return encode_snapshot(self.store, self._next_seq)
-
     def close(self) -> None:
         """Detach from the store and release the WAL file."""
         if self._closed:
@@ -765,145 +716,3 @@ class DurableStore:
             f"fsync={self.fsync_policy!r})"
         )
 
-
-# -- replicas ------------------------------------------------------------------
-
-class ReplicaStore:
-    """A read-only store maintained by consuming WAL frames.
-
-    The replica owns a private :class:`TripleStore` that only
-    :meth:`apply_frame` may mutate; reads go through the standard
-    query/planner API (:meth:`query`, :attr:`store`), so a caller can
-    point existing query code at a replica unchanged.
-
-    Frame discipline: the next frame must carry exactly the expected
-    sequence number.  Re-delivered old frames are ignored (idempotent
-    transports stay simple); a *gap* — a frame from the future — raises
-    :class:`ReplicationError`, because applying it would silently skip
-    mutations.
-    """
-
-    def __init__(self, expected_seq: int = 1, base_revision: int = 0) -> None:
-        self.store = TripleStore()
-        if base_revision:
-            self.store._revision = base_revision
-        self._expected_seq = expected_seq
-        self.frames_applied = 0
-        self.frames_ignored = 0
-
-    @classmethod
-    def from_bootstrap(cls, snapshot: bytes) -> "ReplicaStore":
-        """Seed a replica from :meth:`DurableStore.replication_bootstrap`."""
-        revision, seq, triples = decode_snapshot(snapshot)
-        replica = cls(expected_seq=seq)
-        try:
-            replica.store.bulk_load(triples)
-        except StoreError as exc:
-            raise ReplicationError(f"bad bootstrap snapshot: {exc}") from exc
-        replica.store._revision = revision
-        return replica
-
-    @property
-    def expected_seq(self) -> int:
-        return self._expected_seq
-
-    @property
-    def revision(self) -> int:
-        return self.store.revision
-
-    def lag(self, primary: DurableStore) -> int:
-        """How many frames behind the primary this replica is."""
-        return primary.next_seq - self._expected_seq
-
-    def apply_frame(self, frame) -> bool:
-        """Apply one frame (a :class:`WALFrame` or its encoded payload).
-
-        Returns True if the frame advanced the replica, False if it was
-        an already-applied duplicate.  Raises :class:`ReplicationError`
-        on a sequence gap or a post-apply revision mismatch.
-        """
-        if isinstance(frame, (bytes, bytearray, memoryview)):
-            frame = WALFrame.decode(bytes(frame))
-        if frame.seq < self._expected_seq:
-            self.frames_ignored += 1
-            return False
-        if frame.seq > self._expected_seq:
-            raise ReplicationError(
-                f"out-of-order frame: got seq {frame.seq}, expected "
-                f"{self._expected_seq} — refusing to skip mutations")
-        try:
-            _apply_ops(self.store, frame.ops)
-        except DurabilityError as exc:
-            raise ReplicationError(str(exc)) from exc
-        if self.store.revision != frame.revision:
-            raise ReplicationError(
-                f"replica at revision {self.store.revision} after frame "
-                f"{frame.seq}, primary recorded {frame.revision}")
-        self._expected_seq += 1
-        self.frames_applied += 1
-        return True
-
-    def query(self, query: Query) -> List[Binding]:
-        """Evaluate a BGP query through the cost-based planner."""
-        return evaluate_planned(self.store, query)
-
-    def __len__(self) -> int:
-        return len(self.store)
-
-    def __repr__(self) -> str:
-        return (
-            f"ReplicaStore(triples={len(self.store)}, "
-            f"revision={self.revision}, expected_seq={self._expected_seq})"
-        )
-
-
-class ReplicationLink:
-    """In-process delta-shipping from a primary to its replicas.
-
-    Subscribes to the primary's frame stream and buffers the encoded
-    payloads per replica; :meth:`pump` delivers what is queued.  Keeping
-    delivery explicit makes lag observable and lets tests (and batch
-    topologies) ship deltas at their own cadence; a real transport would
-    replace this class while reusing the same frame bytes.
-    """
-
-    def __init__(self, primary: DurableStore) -> None:
-        self.primary = primary
-        self._queues: Dict[ReplicaStore, Deque[bytes]] = {}
-        self._unsubscribe = primary.subscribe_frames(self._on_frame)
-        self.frames_shipped = 0
-
-    def _on_frame(self, frame: WALFrame, payload: bytes) -> None:
-        for queue in self._queues.values():
-            queue.append(payload)
-
-    def attach(self, replica: Optional[ReplicaStore] = None) -> ReplicaStore:
-        """Attach (or create) a replica, bootstrapped from the primary."""
-        if replica is None:
-            replica = ReplicaStore.from_bootstrap(
-                self.primary.replication_bootstrap())
-        self._queues[replica] = deque()
-        return replica
-
-    def detach(self, replica: ReplicaStore) -> None:
-        self._queues.pop(replica, None)
-
-    def pending(self, replica: ReplicaStore) -> int:
-        """Frames queued for a replica but not yet delivered."""
-        return len(self._queues[replica])
-
-    def pump(self, limit: Optional[int] = None) -> int:
-        """Deliver up to ``limit`` queued frames per replica (all, if
-        None); returns the total number of frames applied."""
-        delivered = 0
-        for replica, queue in self._queues.items():
-            budget = len(queue) if limit is None else min(limit, len(queue))
-            for _ in range(budget):
-                replica.apply_frame(queue.popleft())
-                delivered += 1
-        self.frames_shipped += delivered
-        return delivered
-
-    def close(self) -> None:
-        self._unsubscribe()
-        self._queues.clear()

@@ -69,12 +69,11 @@ class TripleStore:
         *applied* changes, whatever the batching — ``add_many`` of *k*
         fresh triples and *k* single ``add`` calls land on the same
         value, and no-ops (duplicate inserts, absent removals) never
-        move it.  WAL crash recovery and replica delta-shipping
-        (:mod:`repro.rdf.durability`) depend on this: a replayed log of
-        mixed bulk/single mutations must reproduce the primary's exact
-        revision, and every frame carries the expected value as a
-        divergence check.  Regression-tested in
-        ``tests/rdf/test_store_bulk.py``.
+        move it.  WAL crash recovery (:mod:`repro.rdf.durability`)
+        depends on this: a replayed log of mixed bulk/single mutations
+        must reproduce the logged store's exact revision, and every
+        frame carries the expected value as a divergence check.
+        Regression-tested in ``tests/rdf/test_store_bulk.py``.
         """
         return self._revision
 

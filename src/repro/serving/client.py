@@ -162,6 +162,20 @@ def _error(error: BaseException) -> Dict[str, Any]:
     return response
 
 
+#: ``WorkbenchServer.submit``'s own arguments, which job params cannot name
+_SUBMIT_ARGUMENTS = frozenset({"session", "kind", "priority", "retain"})
+
+
+def _field(request: Dict[str, Any], key: str, kinds: Any, what: str,
+           default: Any = None) -> Any:
+    """``request[key]`` if it has a type in *kinds*, else ServingError."""
+    value = request.get(key, default)
+    if not isinstance(value, kinds):
+        raise ServingError(
+            f"{key!r} must be {what}, got {type(value).__name__}")
+    return value
+
+
 def handle_request(server: WorkbenchServer,
                    request: Dict[str, Any]) -> Dict[str, Any]:
     """One request dict in, one response dict out — both JSON-able.
@@ -169,36 +183,48 @@ def handle_request(server: WorkbenchServer,
     Operations: ``create_session``, ``close_session``, ``submit``
     (``kind`` limited to :data:`WIRE_KINDS`), ``status``, ``result``
     (blocks up to ``timeout`` seconds; a terminal result is returned
-    once and then forgotten), ``cancel``, ``stats``.
+    once and then forgotten), ``cancel``, ``stats``.  A request that is
+    not an object, or whose fields have the wrong JSON type, is refused
+    with :class:`ServingError` before it reaches the server.
     """
     try:
+        if not isinstance(request, dict):
+            raise ServingError(
+                f"a request must be a JSON object, got "
+                f"{type(request).__name__}")
         op = request.get("op")
         if op == "create_session":
-            session = server.sessions.get_or_create(request["session"])
+            session = server.sessions.get_or_create(
+                _field(request, "session", str, "a string"))
             return {"ok": True, "session": session.name}
         if op == "close_session":
-            server.sessions.close_session(request["session"])
+            server.sessions.close_session(
+                _field(request, "session", str, "a string"))
             return {"ok": True}
         if op == "submit":
+            session = _field(request, "session", str, "a string")
             kind = request.get("kind")
             if kind not in WIRE_KINDS:
                 raise ServingError(
                     f"kind {kind!r} is not wire-transportable; one of "
                     f"{sorted(WIRE_KINDS)}")
+            params = _field(request, "params", dict, "an object", {})
+            clash = sorted(_SUBMIT_ARGUMENTS.intersection(params))
+            if clash:
+                raise ServingError(f"params may not set {clash}")
             handle = server.submit(
-                request["session"], kind,
-                priority=request.get("priority"),
-                retain=True,
-                **request.get("params", {}))
+                session, kind, priority=request.get("priority"),
+                retain=True, **params)
             return {"ok": True, "job_id": handle.job_id}
+        if op in ("status", "result", "cancel"):
+            job = server.job(_field(request, "job_id", str, "a string"))
         if op == "status":
-            job = server.job(request["job_id"])
             return {"ok": True, "status": job.status.value}
         if op == "result":
-            job = server.job(request["job_id"])
+            timeout = _field(request, "timeout", (int, float, type(None)),
+                             "a number", 30.0)
             try:
-                result = job.future.result(
-                    timeout=request.get("timeout", 30.0))
+                result = job.future.result(timeout=timeout)
             except FuturesTimeoutError:
                 # not terminal yet: keep the job retained for re-polling
                 return {"ok": False, "error": "Timeout",
@@ -213,7 +239,6 @@ def handle_request(server: WorkbenchServer,
             return {"ok": True, "status": job.status.value,
                     "result": _jsonify(result)}
         if op == "cancel":
-            job = server.job(request["job_id"])
             return {"ok": True, "cancelled": job.cancel()}
         if op == "stats":
             return {"ok": True, "stats": server.stats()}

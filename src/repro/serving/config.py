@@ -34,11 +34,6 @@ class ServingConfig:
     queue_limit: int = 256
     #: the retry hint attached to a backpressure rejection
     retry_after_s: float = 0.05
-    #: round-robin across sessions with queued work (True) or strict
-    #: global (priority, arrival) order (False)
-    fair_scheduling: bool = True
-    #: priority given to jobs submitted without one (lower runs first)
-    default_priority: int = 0
     #: cap on concurrently open sessions (None = unbounded)
     max_sessions: Optional[int] = None
     #: directory under which each session gets a durable blackboard

@@ -2,17 +2,14 @@
 
 Scheduling policy (documented in ``docs/SERVING.md``):
 
-* **fairness first** — with ``fair_scheduling`` (the default) sessions
-  with queued work take turns round-robin, so one chatty session cannot
-  starve the others however many jobs it submits;
+* **fairness first** — sessions with queued work take turns
+  round-robin, so one chatty session cannot starve the others however
+  many jobs it submits;
 * **priority second** — within a session, jobs run in ``(priority,
   arrival)`` order (lower priority value first);
 * **backpressure** — the queue is bounded; a push beyond
   ``queue_limit`` raises :class:`~repro.serving.jobs.QueueFullError`
   with a retry-after hint instead of queueing unboundedly.
-
-With ``fair_scheduling=False`` the queue degrades to one global
-``(priority, arrival)`` order across all sessions.
 
 Jobs cancelled while queued stay in their heap (cancellation already
 resolved their future) and are discarded, not returned, when a worker
@@ -39,11 +36,9 @@ class JobQueue:
         self,
         limit: int,
         retry_after_s: float = 0.05,
-        fair: bool = True,
     ) -> None:
         self._limit = limit
         self._retry_after_s = retry_after_s
-        self._fair = fair
         self._lock = threading.Lock()
         self._not_empty = threading.Condition(self._lock)
         self._heaps: Dict[str, List[_Entry]] = {}
@@ -89,42 +84,16 @@ class JobQueue:
 
     def _take(self) -> Optional[Job]:
         """One scheduling decision; caller holds the lock."""
-        if self._fair:
-            while self._rotation:
-                session = self._rotation.popleft()
-                job = self._pop_live(session)
-                if self._heaps[session]:
-                    self._rotation.append(session)
-                else:
-                    del self._heaps[session]
-                if job is not None:
-                    return job
-            return None
-        # strict global (priority, arrival) order
-        while True:
-            best: Optional[str] = None
-            best_key: Optional[Tuple[int, int]] = None
-            for session, heap in self._heaps.items():
-                # clear cancelled entries off the head first
-                while heap and heap[0][2].status is JobStatus.CANCELLED:
-                    heapq.heappop(heap)
-                    self._size -= 1
-                if not heap:
-                    continue
-                key = (heap[0][0], heap[0][1])
-                if best_key is None or key < best_key:
-                    best, best_key = session, key
-            for session in [s for s, h in self._heaps.items() if not h]:
+        while self._rotation:
+            session = self._rotation.popleft()
+            job = self._pop_live(session)
+            if self._heaps[session]:
+                self._rotation.append(session)
+            else:
                 del self._heaps[session]
-                try:
-                    self._rotation.remove(session)
-                except ValueError:
-                    pass
-            if best is None:
-                return None
-            job = self._pop_live(best)
             if job is not None:
                 return job
+        return None
 
     def pop(self, timeout: Optional[float] = None) -> Optional[Job]:
         """Next job to run, or None on timeout / drained-and-closed.

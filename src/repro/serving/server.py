@@ -67,7 +67,6 @@ class WorkbenchServer:
         self.queue = JobQueue(
             self.config.queue_limit,
             retry_after_s=self.config.retry_after_s,
-            fair=self.config.fair_scheduling,
         )
         self._seq = itertools.count()
         self._closed = False
@@ -123,13 +122,19 @@ class WorkbenchServer:
             raise ServingError(
                 f"unknown job kind {kind!r}; one of "
                 f"{sorted(self._handlers)}")
+        if priority is None:
+            priority = 0
+        elif not isinstance(priority, int):
+            # the queue orders jobs by priority: a value that does not
+            # compare with an int would break its heap
+            raise ServingError(
+                f"priority must be an integer, got {type(priority).__name__}")
         self.sessions.get_or_create(session)
         job = Job(
             session=session,
             kind=kind,
             params=params,
-            priority=(priority if priority is not None
-                      else self.config.default_priority),
+            priority=priority,
             seq=next(self._seq),
         )
         # every job resolves its future exactly once; counting there (and

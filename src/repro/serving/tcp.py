@@ -104,7 +104,8 @@ class TcpWorkbenchServer:
                     None, handle_request, self.server, request)
                 writer.write(_encode(response))
                 await writer.drain()
-        except (ConnectionError, ServingError, json.JSONDecodeError):
+        except (ConnectionError, ServingError, asyncio.IncompleteReadError,
+                UnicodeDecodeError, json.JSONDecodeError):
             pass  # a broken peer takes down its connection, nothing else
         except asyncio.CancelledError:
             pass  # listener shutdown: finish cleanly so the task is not

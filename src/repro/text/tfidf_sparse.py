@@ -26,17 +26,6 @@ the corpus's two revision counters: ``revision`` (document set changed →
 rebuild vocabulary + structure) and ``weights_revision`` (feedback moved
 a word weight → refresh weights and norms only, structure survives).
 
-:meth:`SparseTfIdf.all_pairs` — the documentation voter's one-sweep
-cross-partition scoring — picks its kernel from what is installed, the
-way the flooding sweeps do: when NumPy is importable and the corpus fits
-the dense pair-matrix budget, the per-document postings walk is replaced
-by a CSR-style sparse matmul — indptr/indices/data arrays assembled
-zero-copy from the interned term-id arrays, then multiplied per
-vocabulary chunk into the document-pair similarity matrix.  The
-sorted-merge path stays the dependency-free reference; agreement is
-differentially tested to ≤1e-12 (accumulation order differs, so CSR is
-near- but not bit-identical).
-
 The differential harness (``tests/text/test_tfidf_sparse_differential
 .py``) proves agreement with the reference ``TfIdfCorpus.cosine`` to
 within 1e-12 on hypothesis-generated corpora and the golden schema
@@ -59,42 +48,19 @@ __all__ = [
     "sparse_from_snapshot",
 ]
 
-#: past this many document-pair cells the CSR path would allocate
-#: oversized dense similarity/co-occurrence matrices; ``all_pairs`` falls
-#: back to the sorted merge instead (recorded in the stats below — no
-#: silent cap)
-_CSR_DENSE_CELL_LIMIT = 4_000_000
-
-#: vocabulary chunk width for the blocked CSR matmul
-_CSR_TERM_CHUNK = 2048
-
-#: process-wide all_pairs routing counters — which implementation ran
-#: each sweep; surfaced via :meth:`HarmonyEngine.fastpath_stats` and
-#: asserted in perf_smoke.py
-_ALL_PAIRS_STATS = {
-    "allpairs_csr_sweeps": 0,
-    "allpairs_merge_sweeps": 0,
-    "allpairs_csr_oversize_fallbacks": 0,
-}
+#: process-wide all_pairs sweep counter; surfaced via
+#: :meth:`HarmonyEngine.fastpath_stats`
+_ALL_PAIRS_STATS = {"allpairs_merge_sweeps": 0}
 
 
 def all_pairs_stats() -> Dict[str, int]:
-    """A snapshot of the ``all_pairs`` routing counters."""
+    """A snapshot of the ``all_pairs`` sweep counter."""
     return dict(_ALL_PAIRS_STATS)
 
 
 def reset_all_pairs_stats() -> None:
     for key in _ALL_PAIRS_STATS:
         _ALL_PAIRS_STATS[key] = 0
-
-
-def _probe_numpy():
-    """Import numpy if available, else ``None`` (never raises)."""
-    try:
-        import numpy
-    except Exception:
-        return None
-    return numpy
 
 
 def sparse_from_snapshot(
@@ -318,34 +284,20 @@ class SparseTfIdf:
         passes the source/target partition so same-schema pairs are
         never touched.
 
-        Runs the NumPy CSR matmul when NumPy is importable and the
-        corpus fits the dense pair-matrix budget, the postings
-        sorted-merge reference otherwise.  Both agree to ≤1e-12.
+        Each document walks the postings of its own terms and
+        accumulates its dot product with every later document it meets.
         """
         self._ensure_current()
+        _ALL_PAIRS_STATS["allpairs_merge_sweeps"] += 1
         groups = (
             [group_of(doc) for doc in self._doc_ids]
             if group_of is not None
             else None
         )
-        np = _probe_numpy()
-        if np is not None:
-            n = len(self._doc_ids)
-            if n * n <= _CSR_DENSE_CELL_LIMIT:
-                _ALL_PAIRS_STATS["allpairs_csr_sweeps"] += 1
-                return self._all_pairs_csr(np, groups)
-            _ALL_PAIRS_STATS["allpairs_csr_oversize_fallbacks"] += 1
-        _ALL_PAIRS_STATS["allpairs_merge_sweeps"] += 1
-        return self._all_pairs_merge(groups)
-
-    def _all_pairs_merge(
-        self,
-        groups: Optional[List[Hashable]],
-    ) -> Dict[Tuple[str, str], float]:
-        """The dependency-free postings-walk reference implementation."""
         out: Dict[Tuple[str, str], float] = {}
         postings_docs = self._postings_docs
         postings_weights = self._postings_weights
+        doc_ids = self._doc_ids
         for index, (terms, weights) in enumerate(
             zip(self._doc_terms, self._doc_weights)
         ):
@@ -363,157 +315,9 @@ class SparseTfIdf:
                         )
             if not accumulator:
                 continue
-            doc_id = self._doc_ids[index]
-            doc_ids = self._doc_ids
+            doc_id = doc_ids[index]
             for other, sim in accumulator.items():
                 out[(doc_id, doc_ids[other])] = sim
-        return out
-
-    def _all_pairs_csr(
-        self,
-        np,
-        groups: Optional[List[Hashable]],
-    ) -> Dict[Tuple[str, str], float]:
-        """CSR-style sparse matmul over the interned term-id arrays.
-
-        The packed per-document arrays concatenate (zero-copy via
-        ``np.frombuffer``) into the canonical CSR triple — ``indptr``
-        (document row offsets), ``indices`` (term ids), ``data``
-        (normalized weights) — and X·Xᵀ is evaluated per vocabulary
-        chunk: each chunk scatters its CSR entries into a dense
-        (documents × chunk) block and one matmul accumulates the
-        document-pair similarity matrix.  A parallel 0/1-pattern matmul
-        (float32 — the counts are small integers, exact well past any
-        real document length) counts shared terms, so the result's
-        *membership* (pairs sharing at least one term) matches the merge
-        path exactly; values agree to ≤1e-12 (summation order differs
-        across chunks).
-
-        A two-way *groups* partition — the documentation voter's
-        source/target split — takes a rectangular fast path: only the
-        (group A × group B) cross block is ever scattered or multiplied,
-        a ~4× FLOP cut over the square product at an even split.
-        """
-        n = len(self._doc_ids)
-        if n == 0:
-            return {}
-        lengths = np.fromiter(
-            (len(terms) for terms in self._doc_terms), dtype=np.int64, count=n
-        )
-        indptr = np.zeros(n + 1, dtype=np.int64)
-        np.cumsum(lengths, out=indptr[1:])
-        nnz = int(indptr[n])
-        if nnz == 0:
-            return {}
-        int_dtype = np.dtype(f"i{self._doc_terms[0].itemsize or 8}")
-        indices = np.empty(nnz, dtype=np.int64)
-        data = np.empty(nnz, dtype=np.float64)
-        for i in range(n):
-            lo, hi = indptr[i], indptr[i + 1]
-            if hi > lo:
-                indices[lo:hi] = np.frombuffer(self._doc_terms[i], dtype=int_dtype)
-                data[lo:hi] = np.frombuffer(self._doc_weights[i], dtype=np.float64)
-        rows = np.repeat(np.arange(n, dtype=np.int64), lengths)
-
-        group_ids = None
-        if groups is not None:
-            interned: Dict[Hashable, int] = {}
-            group_ids = np.fromiter(
-                (interned.setdefault(group, len(interned)) for group in groups),
-                dtype=np.int64,
-                count=n,
-            )
-            if len(interned) == 2:
-                return self._all_pairs_csr_bipartite(
-                    np, group_ids, indices, data, rows
-                )
-
-        vocabulary = len(self._term_ids)
-        sims = np.zeros((n, n))
-        cooc = np.zeros((n, n), dtype=np.float32)
-        for lo in range(0, vocabulary, _CSR_TERM_CHUNK):
-            hi = min(vocabulary, lo + _CSR_TERM_CHUNK)
-            mask = (indices >= lo) & (indices < hi)
-            if not mask.any():
-                continue
-            block_rows = rows[mask]
-            block_cols = indices[mask] - lo
-            block = np.zeros((n, hi - lo))
-            block[block_rows, block_cols] = data[mask]
-            sims += block @ block.T
-            pattern = np.zeros((n, hi - lo), dtype=np.float32)
-            pattern[block_rows, block_cols] = 1.0
-            cooc += pattern @ pattern.T
-
-        keep = np.triu(cooc > 0.0, k=1)
-        if group_ids is not None:
-            keep &= group_ids[:, None] != group_ids[None, :]
-        doc_ids = self._doc_ids
-        left, right = np.nonzero(keep)
-        values = sims[keep]
-        return {
-            (doc_ids[i], doc_ids[j]): float(sim)
-            for i, j, sim in zip(left.tolist(), right.tolist(), values.tolist())
-        }
-
-    def _all_pairs_csr_bipartite(
-        self, np, group_ids, indices, data, rows
-    ) -> Dict[Tuple[str, str], float]:
-        """The rectangular (group A × group B) CSR product.
-
-        Each side's CSR entries scatter into their own dense chunk block
-        and one ``A @ Bᵀ`` per chunk accumulates exactly the cross-group
-        slice of the pair matrix — same chunk summation order as the
-        square path restricted to the kept cells, so values are
-        identical to it.  Result keys keep the corpus-insertion-order
-        orientation the merge path produces.
-        """
-        in_a = group_ids == group_ids[0]
-        a_docs = np.nonzero(in_a)[0]
-        b_docs = np.nonzero(~in_a)[0]
-        na, nb = len(a_docs), len(b_docs)
-        if na == 0 or nb == 0:
-            return {}
-        remap = np.zeros(len(group_ids), dtype=np.int64)
-        remap[a_docs] = np.arange(na)
-        remap[b_docs] = np.arange(nb)
-        entry_in_a = in_a[rows]
-        entry_rows = remap[rows]
-
-        vocabulary = len(self._term_ids)
-        sims = np.zeros((na, nb))
-        cooc = np.zeros((na, nb), dtype=np.float32)
-        for lo in range(0, vocabulary, _CSR_TERM_CHUNK):
-            hi = min(vocabulary, lo + _CSR_TERM_CHUNK)
-            mask = (indices >= lo) & (indices < hi)
-            a_mask = mask & entry_in_a
-            b_mask = mask & ~entry_in_a
-            if not a_mask.any() or not b_mask.any():
-                continue
-            a_block = np.zeros((na, hi - lo))
-            a_block[entry_rows[a_mask], indices[a_mask] - lo] = data[a_mask]
-            b_block = np.zeros((nb, hi - lo))
-            b_block[entry_rows[b_mask], indices[b_mask] - lo] = data[b_mask]
-            sims += a_block @ b_block.T
-            a_pattern = np.zeros((na, hi - lo), dtype=np.float32)
-            a_pattern[entry_rows[a_mask], indices[a_mask] - lo] = 1.0
-            b_pattern = np.zeros((nb, hi - lo), dtype=np.float32)
-            b_pattern[entry_rows[b_mask], indices[b_mask] - lo] = 1.0
-            cooc += a_pattern @ b_pattern.T
-
-        keep = cooc > 0.0
-        doc_ids = self._doc_ids
-        a_orig = a_docs.tolist()
-        b_orig = b_docs.tolist()
-        left, right = np.nonzero(keep)
-        values = sims[keep]
-        out: Dict[Tuple[str, str], float] = {}
-        for i, j, sim in zip(left.tolist(), right.tolist(), values.tolist()):
-            a, b = a_orig[i], b_orig[j]
-            if a < b:
-                out[(doc_ids[a], doc_ids[b])] = sim
-            else:
-                out[(doc_ids[b], doc_ids[a])] = sim
         return out
 
     def __repr__(self) -> str:

@@ -49,8 +49,7 @@ class IntegrationBlackboard:
     directory path) puts a :class:`~repro.rdf.durability.DurableStore`
     underneath instead: every mutation is write-ahead logged, the
     directory is recovered on open (so a session survives a crash or
-    restart), :meth:`checkpoint` compacts the log, and the WAL frame
-    stream can feed read-only replicas.  ``fsync`` and
+    restart) and :meth:`checkpoint` compacts the log.  ``fsync`` and
     ``auto_checkpoint_bytes`` pass through to the durable layer.
 
     Reads are served from typed views where possible: :meth:`get_schema`
@@ -61,7 +60,8 @@ class IntegrationBlackboard:
     content, iteration order and graph ``revision``).  A view is dropped
     as soon as any triple of a subject it was read from changes —
     through this class, a direct ``store`` write, a transaction
-    rollback, a provenance entry or a replicated delta alike.
+    rollback, a provenance entry or a bulk ``add_many`` /
+    ``remove_many`` alike.
     :meth:`stats` counts view hits, misses and how matrix writes were
     diffed.
     """

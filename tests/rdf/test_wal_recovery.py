@@ -300,6 +300,24 @@ class TestCorruption:
         with pytest.raises(DurabilityError):
             DurableStore(DB, fs=fs)
 
+    def test_frame_re_adding_a_snapshot_triple_is_refused(self):
+        """A CRC-valid frame that adds a triple the snapshot already
+        holds would replay as a no-op: the log and its base state have
+        diverged, and recovery refuses rather than drift."""
+        fs = FaultInjectingFS()
+        durable = DurableStore(DB, fsync="always", fs=fs)
+        triple = Triple(SUBJECTS[0], PREDICATES[0], literal(1))
+        durable.store.add_triple(triple)
+        durable.checkpoint()
+        revision, next_seq = durable.revision, durable.next_seq
+        durable.close()
+        wal = fs.read_bytes(WAL)
+        stale = WALFrame(seq=next_seq, revision=revision + 1,
+                         ops=((True, triple),))
+        fs.write_bytes(WAL, wal + _frame_bytes(stale.encode()))
+        with pytest.raises(DurabilityError):
+            DurableStore(DB, fs=fs)
+
     def test_sequence_gap_cuts_the_log(self):
         fs, oracle = run_history(
             [("add", Triple(SUBJECTS[0], PREDICATES[0], literal(1)))])

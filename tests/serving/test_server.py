@@ -71,7 +71,7 @@ class TestQueue:
         assert [queue.pop(0.1) for _ in range(4)] == jobs
 
     def test_fair_round_robin_across_sessions(self):
-        queue = JobQueue(limit=32, fair=True)
+        queue = JobQueue(limit=32)
         # session "a" floods first; "b" and "c" each queue one job
         flood = [self._job("a", seq=i) for i in range(6)]
         b = self._job("b", seq=6)
@@ -82,16 +82,6 @@ class TestQueue:
         # b and c each get a turn within the first rotation, despite
         # a's six earlier arrivals
         assert set(order[:3]) == {"a", "b", "c"}
-
-    def test_unfair_mode_is_global_order(self):
-        queue = JobQueue(limit=32, fair=False)
-        flood = [self._job("a", seq=i) for i in range(3)]
-        late = self._job("b", seq=3)
-        urgent = self._job("c", priority=-1, seq=4)
-        for job in flood + [late, urgent]:
-            queue.push(job)
-        order = [queue.pop(0.1) for _ in range(5)]
-        assert order == [urgent] + flood + [late]
 
     def test_backpressure_raises_with_retry_hint(self):
         queue = JobQueue(limit=2, retry_after_s=0.25)
@@ -286,6 +276,17 @@ class TestFailures:
         with pytest.raises(ServingError):
             handle.result(5)
         assert server.stats()["failed"] == 1
+
+    def test_a_non_integer_priority_is_refused_at_submit(self, make_server):
+        """It would otherwise sit in the session's heap and kill the
+        worker that next compares it with an integer priority."""
+        server = make_server(workers=1)
+        first = server.submit("a", "ping", delay_s=0.1)
+        with pytest.raises(ServingError):
+            server.submit("a", "ping", priority="high")
+        assert server.submit("a", "ping", priority=1).result(5) == "pong"
+        assert first.result(5) == "pong"
+        assert server.stats()["pending"] == 0
 
     def test_unknown_kind_rejected_at_submit(self, make_server):
         server = make_server()

@@ -1,5 +1,9 @@
 """The transport seam: the JSON gateway, and the TCP framing around it."""
 
+import json
+import socket
+import struct
+
 import pytest
 
 from repro.serving import (
@@ -7,6 +11,11 @@ from repro.serving import (
     handle_request,
     serve_tcp,
 )
+
+
+def _frame(message):
+    payload = json.dumps(message).encode("utf-8")
+    return struct.pack(">I", len(payload)) + payload
 
 
 class TestGateway:
@@ -107,6 +116,47 @@ class TestGateway:
         assert stats["stats"]["cancelled"] == 1
 
 
+    @pytest.mark.parametrize("request_", [
+        ["op", "stats"],
+        "stats",
+        7,
+        None,
+        {"op": "create_session", "session": ["a"]},
+        {"op": "close_session"},
+        {"op": "submit", "session": [1], "kind": "ping", "params": {}},
+        {"op": "submit", "session": {"x": 1}, "kind": "ping"},
+        {"op": "submit", "session": "s", "kind": "ping", "params": [1]},
+        {"op": "submit", "session": "s", "kind": "ping", "params": "x"},
+        {"op": "submit", "session": "s", "kind": "ping", "priority": "high"},
+        {"op": "submit", "session": "s", "kind": "ping",
+         "params": {"retain": False}},
+        {"op": "status", "job_id": [1]},
+        {"op": "result", "job_id": 3},
+        {"op": "cancel", "job_id": None},
+    ])
+    def test_a_request_of_the_wrong_shape_is_a_serving_error(
+            self, make_server, request_):
+        server = make_server()
+        response = handle_request(server, request_)
+        assert response["ok"] is False
+        assert response["error"] == "ServingError"
+        # nothing reached the server
+        assert server.stats()["submitted"] == 0
+        assert server.stats()["sessions"] == []
+
+    def test_a_bad_result_timeout_keeps_the_job(self, make_server):
+        server = make_server(workers=1)
+        job = handle_request(server, {
+            "op": "submit", "session": "s", "kind": "ping",
+            "params": {"delay_s": 0.2}})
+        response = handle_request(server, {
+            "op": "result", "job_id": job["job_id"], "timeout": "soon"})
+        assert response["error"] == "ServingError"
+        done = handle_request(server, {
+            "op": "result", "job_id": job["job_id"], "timeout": 5})
+        assert done["ok"] and done["result"] == "pong"
+
+
 class TestTcp:
     """Length-prefixed frames over a real socket."""
 
@@ -163,5 +213,48 @@ class TestTcp:
                 assert two.create_session("b")["ok"]
                 names = one.stats()["stats"]["sessions"]
                 assert set(names) >= {"a", "b"}
+        finally:
+            tcp.close()
+
+    @pytest.mark.parametrize("frame", [
+        # invalid UTF-8 inside a well-formed frame
+        struct.pack(">I", 2) + b"\xff\xfe",
+        # a frame the peer cuts short: 10 bytes announced, 3 sent
+        struct.pack(">I", 10) + b'{"o',
+        # a JSON list and a JSON string instead of an object
+        struct.pack(">I", 6) + b'[1, 2]',
+        struct.pack(">I", 7) + b'"stats"',
+        # a session that is not a string
+        _frame({"op": "submit", "session": [1], "kind": "ping",
+                "params": {}}),
+    ], ids=["invalid-utf8", "cut-short", "json-list", "json-string",
+            "list-session"])
+    def test_a_bad_frame_takes_down_only_its_connection(
+            self, make_server, frame):
+        server = make_server()
+        tcp = serve_tcp(server)
+        errors = []
+        tcp._loop.set_exception_handler(
+            lambda loop, context: errors.append(context))
+        try:
+            host, port = tcp.address
+            for _ in range(2):
+                with socket.create_connection((host, port), timeout=10) as raw:
+                    raw.sendall(frame)
+                    raw.shutdown(socket.SHUT_WR)
+                    answer = b""
+                    while True:
+                        chunk = raw.recv(4096)
+                        if not chunk:
+                            break
+                        answer += chunk
+                if answer:
+                    # a JSON frame of the wrong shape is answered, not raised
+                    assert b'"error": "ServingError"' in answer
+                # the listener serves a new connection after the bad one
+                with TcpWorkbenchClient(host, port) as client:
+                    assert client.stats()["ok"]
+            assert errors == []
+            assert server.stats()["submitted"] == 0
         finally:
             tcp.close()

@@ -20,19 +20,15 @@ standard suite.
 import json
 import os
 import string
-from unittest import mock
+import subprocess
+import sys
 
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.harmony import EngineConfig, HarmonyEngine, MatchContext
 from repro.text import SparseTfIdf, TfIdfCorpus
-from repro.text import tfidf_sparse as tfidf_sparse_mod
 from repro.text.tfidf_sparse import all_pairs_stats, reset_all_pairs_stats
-
-HAS_NUMPY = tfidf_sparse_mod._probe_numpy() is not None
-needs_numpy = pytest.mark.skipif(not HAS_NUMPY, reason="numpy not installed")
 
 #: the acceptance bound; in practice worst observed drift is ~5e-16
 #: (sorted-id merge vs dict-insertion-order float summation)
@@ -44,13 +40,6 @@ GOLDEN_PATH = os.path.join(os.path.dirname(__file__), "golden_schema_tokens.json
 words = st.text(alphabet=string.ascii_lowercase, min_size=2, max_size=6)
 documents = st.lists(words, min_size=0, max_size=12).map(" ".join)
 corpora = st.lists(documents, min_size=2, max_size=10)
-
-
-def merge_all_pairs(corpus, **kwargs):
-    """``all_pairs`` as it runs where NumPy is not importable: the
-    postings sorted-merge reference."""
-    with mock.patch.object(tfidf_sparse_mod, "_probe_numpy", lambda: None):
-        return SparseTfIdf(corpus).all_pairs(**kwargs)
 
 
 def golden():
@@ -199,92 +188,65 @@ class TestInvalidation:
 
 
 class TestAllPairsBackends:
-    """The CSR matmul route (NumPy importable, the corpus within the
-    dense budget) vs the sorted-merge reference."""
+    """``all_pairs`` has one route, the postings sorted merge, and
+    counts every sweep it runs."""
 
-    def test_auto_without_numpy_uses_merge(self, monkeypatch):
-        corpus, _, ids = build(["alpha beta", "beta gamma"])
-        monkeypatch.setattr(tfidf_sparse_mod, "_probe_numpy", lambda: None)
-        sparse = SparseTfIdf(corpus)
-        reset_all_pairs_stats()
-        table = sparse.all_pairs()
-        assert table[(ids[0], ids[1])] > 0.0
-        stats = all_pairs_stats()
-        assert stats["allpairs_merge_sweeps"] == 1
-        assert stats["allpairs_csr_sweeps"] == 0
-
-    @needs_numpy
-    def test_auto_with_numpy_uses_csr(self):
+    def test_auto_without_numpy_uses_merge(self):
         _, sparse, ids = build(["alpha beta", "beta gamma"])
         reset_all_pairs_stats()
         table = sparse.all_pairs()
         assert table[(ids[0], ids[1])] > 0.0
-        stats = all_pairs_stats()
-        assert stats["allpairs_csr_sweeps"] == 1
-        assert stats["allpairs_merge_sweeps"] == 0
+        assert all_pairs_stats() == {"allpairs_merge_sweeps": 1}
 
-    @needs_numpy
-    def test_oversize_corpus_falls_back_to_merge(self, monkeypatch):
-        corpus, _, ids = build(["alpha beta", "beta gamma", "alpha gamma"])
-        monkeypatch.setattr(tfidf_sparse_mod, "_CSR_DENSE_CELL_LIMIT", 4)
-        sparse = SparseTfIdf(corpus)
-        reset_all_pairs_stats()
-        table = sparse.all_pairs()
-        assert len(table) == 3
-        stats = all_pairs_stats()
-        assert stats["allpairs_csr_oversize_fallbacks"] == 1
-        assert stats["allpairs_merge_sweeps"] == 1
-        assert table == merge_all_pairs(corpus)
 
-    @needs_numpy
-    @given(corpora)
-    @settings(max_examples=60)
-    def test_csr_matches_merge_exactly_in_membership(self, texts):
-        corpus = TfIdfCorpus()
-        for i, text in enumerate(texts):
-            corpus.add_document(f"doc{i}", text)
-        merge = merge_all_pairs(corpus)
-        csr = SparseTfIdf(corpus).all_pairs()
-        assert csr.keys() == merge.keys()
-        for pair, sim in merge.items():
-            assert abs(sim - csr[pair]) <= TOLERANCE
+#: a cold ``match_cold``-shaped op (loader tool, then a ``fast()``
+#: matcher tool on a fresh workbench) and a default-config match of the
+#: same pair, run in a fresh interpreter
+_MATCH_IN_FRESH_PROCESS = """
+import json, sys
+from repro.harmony import EngineConfig, HarmonyEngine
+from repro.loaders import ErModelLoader
+from repro.registry import RegistryProfile, generate_registry
+from repro.text.tfidf_sparse import all_pairs_stats
+from repro.workbench import LoaderTool, MatcherTool, WorkbenchManager
 
-    @needs_numpy
-    @given(corpora)
-    @settings(max_examples=40)
-    def test_csr_groups_match_merge(self, texts):
-        corpus = TfIdfCorpus()
-        for i, text in enumerate(texts):
-            corpus.add_document(f"doc{i}", text)
-        ids = [f"doc{i}" for i in range(len(texts))]
-        evens = {doc for i, doc in enumerate(ids) if i % 2 == 0}
-        group_of = lambda doc: doc in evens
-        merge = merge_all_pairs(corpus, group_of=group_of)
-        csr = SparseTfIdf(corpus).all_pairs(group_of=group_of)
-        assert csr.keys() == merge.keys()
-        for pair, sim in merge.items():
-            assert abs(sim - csr[pair]) <= TOLERANCE
+profile = RegistryProfile(model_count=2, elements_per_model=10,
+                          attributes_per_element=8,
+                          domain_values_per_attribute=0.5)
+models = generate_registry(seed=5, scale=1.0, profile=profile,
+                           name="pool")["models"]
+manager = WorkbenchManager()
+manager.register(LoaderTool(ErModelLoader()))
+manager.register(MatcherTool(HarmonyEngine(config=EngineConfig.fast())))
+for name, model in zip(("source", "target"), models):
+    manager.invoke("load-er", text=json.dumps(model), schema_name=name)
+matrix = manager.invoke("harmony", source_schema="source",
+                        target_schema="target")
+default = HarmonyEngine().match(manager.blackboard.get_schema("source"),
+                                manager.blackboard.get_schema("target"))
+print(json.dumps({
+    "numpy": "numpy" in sys.modules,
+    "sweeps": all_pairs_stats()["allpairs_merge_sweeps"],
+    "cells": [matrix.cell_count(), default.matrix.cell_count()],
+}))
+"""
 
-    @needs_numpy
-    def test_csr_values_are_plain_floats(self):
-        _, sparse, _ = build(["alpha beta", "beta gamma"])
-        table = SparseTfIdf(sparse.corpus).all_pairs()
-        assert all(type(v) is float for v in table.values())
 
-    @needs_numpy
-    def test_golden_corpus_csr_matches_merge(self):
-        data = golden()
-        texts = [" ".join(tokens) for tokens in data["token_lists"]]
-        corpus = TfIdfCorpus()
-        for i, text in enumerate(texts):
-            corpus.add_document(f"doc{i}", text)
-        merge = merge_all_pairs(corpus)
-        csr = SparseTfIdf(corpus).all_pairs()
-        assert csr.keys() == merge.keys()
-        worst = max(
-            (abs(sim - csr[pair]) for pair, sim in merge.items()), default=0.0
-        )
-        assert worst <= TOLERANCE, f"max |csr - merge| = {worst}"
+class TestDependencyFree:
+    def test_a_match_does_not_import_numpy(self):
+        """The documentation sweep, and every other stage of a default
+        or ``fast()`` match, runs on the standard library alone."""
+        import repro
+
+        src = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
+        out = subprocess.run(
+            [sys.executable, "-c", _MATCH_IN_FRESH_PROCESS],
+            env=dict(os.environ, PYTHONPATH=src),
+            capture_output=True, text=True, check=True)
+        result = json.loads(out.stdout)
+        assert result["sweeps"] == 2
+        assert min(result["cells"]) > 0
+        assert result["numpy"] is False
 
 
 def _dict_cosine(context, doc_a, doc_b):
@@ -330,5 +292,4 @@ class TestEngineEquivalence:
         for config in (EngineConfig(), EngineConfig.fast()):
             reset_all_pairs_stats()
             HarmonyEngine(config=config).match(orders_graph, notice_graph)
-            stats = all_pairs_stats()
-            assert stats["allpairs_merge_sweeps"] + stats["allpairs_csr_sweeps"] == 1
+            assert all_pairs_stats()["allpairs_merge_sweeps"] == 1

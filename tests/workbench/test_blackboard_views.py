@@ -421,26 +421,39 @@ class TestViewCounters:
         assert board.stats()["schema_view_misses"] == 2
 
     def test_replicated_deltas_drop_the_replica_side_view(self, tmp_path):
-        """A blackboard over a replica's store sees the primary's writes
-        arrive as replayed batches, which drop its views like any other
+        """A blackboard over a mirror store sees a durable primary's writes
+        arrive as bulk remove_many / add_many batches, the way WAL replay
+        applies a logged frame, which drop its views like any other
         change."""
-        from repro.rdf import ReplicationLink
-
         primary = IntegrationBlackboard(durable=str(tmp_path / "primary"))
-        link = ReplicationLink(primary.durability)
-        mirror = IntegrationBlackboard(store=link.attach().store)
+        mirror = IntegrationBlackboard()
+        shipped = set()
+
+        def ship():
+            current = primary.store.snapshot()
+            removed = mirror.store.remove_many(shipped - current)
+            assert mirror.store.add_many(current - shipped)
+            shipped.clear()
+            shipped.update(current)
+            return removed
+
         matrix = MappingMatrix.from_schemas(_schema(SOURCE), _schema(TARGET))
         matrix.name = MATRIX
         primary.put_matrix(matrix, delta=True)
-        link.pump()
+        ship()
         assert mirror.get_matrix(MATRIX).cell_count() == 0
-        primary.update_cell(MATRIX, f"{SOURCE}/items", COLUMNS[0], 0.5)
-        link.pump()
-        assert _matrix_signature(mirror.get_matrix(MATRIX)) == _matrix_signature(
-            schema_rdf.rdf_to_matrix(mirror.store, MATRIX))
+        pair = (f"{SOURCE}/items", COLUMNS[0])
+        removed = 0
+        for confidence in (0.5, 0.75):
+            primary.update_cell(MATRIX, *pair, confidence)
+            removed += ship()
+            assert _matrix_signature(mirror.get_matrix(MATRIX)) == _matrix_signature(
+                schema_rdf.rdf_to_matrix(mirror.store, MATRIX))
+            assert mirror.get_matrix(MATRIX).peek(*pair).confidence == confidence
+        assert removed
         assert mirror.get_matrix(MATRIX).cell_count() == 1
-        assert mirror.stats()["matrix_view_misses"] == 2
-        link.close()
+        stats = mirror.stats()
+        assert (stats["matrix_view_hits"], stats["matrix_view_misses"]) == (3, 3)
         primary.close()
 
     def test_a_link_to_another_schemas_element_keeps_no_view(self):
