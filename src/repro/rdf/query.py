@@ -40,7 +40,7 @@ from typing import (
 
 from ..core.errors import QueryError
 from .store import TripleStore
-from .term import IRI, Literal, Term, term_sort_key
+from .term import IRI, Literal, Term
 
 
 @dataclass(frozen=True, order=True)
@@ -148,7 +148,7 @@ def _finalize(query: Query, solutions: List[Binding]) -> List[Binding]:
                 raise QueryError(
                     f"order_by variable {var} not bound by the solutions"
                 )
-        solutions.sort(key=lambda b: term_sort_key(b[var]))
+        solutions.sort(key=itemgetter(var))
     if query.limit is not None:
         solutions = solutions[: query.limit]
     return solutions
@@ -406,7 +406,7 @@ def evaluate_planned(
                     candidates = candidates & _candidate_set(
                         store, other, binding, join_var
                     )
-                for value in sorted(candidates, key=term_sort_key):
+                for value in sorted(candidates):
                     extended = dict(binding)
                     extended[join_var] = value
                     next_solutions.append(extended)

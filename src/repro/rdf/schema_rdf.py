@@ -835,7 +835,7 @@ def _read_axis(store: TripleStore, iri: IRI, cls: IRI, element_pred: IRI,
     extra = extra_lit.lexical if isinstance(extra_lit, Literal) else ""
     entry = (element_id, schema_name, complete, extra)
     clean = (
-        store.count_matching(subject=iri) == (5 if extra else 4)
+        sum(map(len, by_pred.values())) == (5 if extra else 4)
         and cls in (by_pred.get(V.RDF_TYPE) or ())
         and ref == element_iri(schema_name, element_id)
         and name == literal(element_id)
@@ -933,7 +933,7 @@ def read_matrix_view(store: TripleStore, matrix_name: str) -> MatrixView:
         r_iri = row_iris.get(source_id)
         col_iri = column_iris.get(target_id)
         if not (
-            store.count_matching(subject=cl) == 5
+            sum(map(len, by_pred.values())) == 5
             and conf == literal(confidence)
             and user == literal(user_defined)
             and V.CELL_CLASS in (by_pred.get(V.RDF_TYPE) or ())

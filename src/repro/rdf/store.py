@@ -3,7 +3,13 @@
 Each statement lives in two permutation indexes and nowhere else: SPO
 (subject -> predicate -> objects) and POS (predicate -> object ->
 subjects).  No per-statement object is kept, so a bulk write allocates
-only index slots, and a slot is deleted when its last statement goes.
+only index slots.  A slot holds a bare term until its second value
+arrives and a ``set`` from then on; a set left with one value collapses
+back and a slot is deleted with its last statement, so a slot's shape
+follows from its contents alone, and most blackboard slots (a cell's
+row, its score) cost no set.  Reads test ``type(slot) is set``: a term
+is a tuple (:mod:`repro.rdf.term`), so ``in`` on a bare slot would
+search its fields.
 Any pattern with a bound subject or predicate reads one index directly;
 an object-only pattern scans POS over the store's predicates, of which a
 workbench blackboard has a few dozen at most.  The workbench manager's
@@ -29,6 +35,7 @@ from typing import (
     Sequence,
     Set,
     Tuple,
+    Union,
 )
 
 from ..core.errors import StoreError
@@ -49,8 +56,8 @@ class TripleStore:
     """Set semantics over triples with pattern matching."""
 
     def __init__(self) -> None:
-        self._spo: Dict[Subject, Dict[IRI, Set[Object]]] = {}
-        self._pos: Dict[IRI, Dict[Object, Set[Subject]]] = {}
+        self._spo: Dict[Subject, Dict[IRI, Union[Object, Set[Object]]]] = {}
+        self._pos: Dict[IRI, Dict[Object, Union[Subject, Set[Subject]]]] = {}
         #: statements per predicate, kept incrementally so the query
         #: planner's predicate-bound estimates (`count_matching`) stay O(1)
         self._predicate_counts: Dict[IRI, int] = {}
@@ -107,23 +114,31 @@ class TripleStore:
             obj = triple.object
             by_pred = spo.get(subject)
             if by_pred is None:
-                by_pred = spo[subject] = {}
-            objs = by_pred.get(predicate)
-            if objs is None:
-                by_pred[predicate] = {obj}
-            elif obj in objs:
-                continue
+                spo[subject] = {predicate: obj}
             else:
-                objs.add(obj)
+                objs = by_pred.get(predicate)
+                if objs is None:
+                    by_pred[predicate] = obj
+                elif type(objs) is set:
+                    if obj in objs:
+                        continue
+                    objs.add(obj)
+                elif objs == obj:
+                    continue
+                else:
+                    by_pred[predicate] = {objs, obj}
             append(triple)
             by_obj = pos.get(predicate)
             if by_obj is None:
-                by_obj = pos[predicate] = {}
-            subjects = by_obj.get(obj)
-            if subjects is None:
-                by_obj[obj] = {subject}
+                pos[predicate] = {obj: subject}
             else:
-                subjects.add(subject)
+                subjects = by_obj.get(obj)
+                if subjects is None:
+                    by_obj[obj] = subject
+                elif type(subjects) is set:
+                    subjects.add(subject)
+                else:
+                    by_obj[obj] = {subjects, subject}
             counts[predicate] = counts.get(predicate, 0) + 1
         self._size += len(fresh)
         self._revision += len(fresh)
@@ -176,7 +191,8 @@ class TripleStore:
 
     def _unindex(self, triples: Iterable[Triple]) -> List[Triple]:
         """Remove from SPO and POS without notifying; returns the triples
-        that were stored, in input order.  A slot that loses its last
+        that were stored, in input order.  A set slot left with one value
+        collapses to that bare value, and a slot that loses its last
         statement is deleted, so the indexes never hold empty entries."""
         spo, pos = self._spo, self._pos
         counts = self._predicate_counts
@@ -188,18 +204,28 @@ class TripleStore:
             obj = triple.object
             by_pred = spo.get(subject)
             objs = by_pred.get(predicate) if by_pred is not None else None
-            if objs is None or obj not in objs:
+            if objs is None:
                 continue
-            append(triple)
-            objs.discard(obj)
-            if not objs:
+            if type(objs) is set:
+                if obj not in objs:
+                    continue
+                objs.discard(obj)
+                if len(objs) == 1:
+                    by_pred[predicate] = next(iter(objs))
+            elif objs == obj:
                 del by_pred[predicate]
                 if not by_pred:
                     del spo[subject]
+            else:
+                continue
+            append(triple)
             by_obj = pos[predicate]
             subjects = by_obj[obj]
-            subjects.discard(subject)
-            if not subjects:
+            if type(subjects) is set:
+                subjects.discard(subject)
+                if len(subjects) == 1:
+                    by_obj[obj] = next(iter(subjects))
+            else:
                 del by_obj[obj]
                 if not by_obj:
                     del pos[predicate]
@@ -296,27 +322,36 @@ class TripleStore:
             Triple(subject, predicate, obj)
             for subject, by_pred in self._spo.items()
             for predicate, objs in by_pred.items()
-            for obj in objs
+            for obj in (objs if type(objs) is set else (objs,))
         ]
 
     def subject_slice(self, subject: Subject) -> Mapping[IRI, AbstractSet[Object]]:
         """The ``{predicate: objects}`` mapping for one subject.
 
-        Returns the live index slice (empty mapping if the subject is
-        absent) so bulk consumers — the matrix delta serializer — can
-        diff a subject's stored statements without materializing one
-        :class:`Triple` per stored statement.  Callers must treat the
-        returned mapping as read-only and must not mutate the store
-        while iterating it.
+        A new mapping (an empty one if the subject is absent) whose
+        values are the index's sets for multi-valued predicates and
+        one-element frozensets for the rest, so bulk consumers — the
+        schema and matrix delta serializers — can diff a subject's
+        stored statements with set algebra and without materializing one
+        :class:`Triple` per stored statement.  Callers must not mutate
+        the values, nor the store while they hold them.
         """
-        return self._spo.get(subject, _NO_SLOT)
+        by_pred = self._spo.get(subject)
+        if by_pred is None:
+            return _NO_SLOT
+        return {
+            predicate: objs if type(objs) is set else frozenset((objs,))
+            for predicate, objs in by_pred.items()
+        }
 
     def __len__(self) -> int:
         return self._size
 
     def __contains__(self, triple: Triple) -> bool:
         objs = self._spo.get(triple.subject, _NO_SLOT).get(triple.predicate)
-        return objs is not None and triple.object in objs
+        if type(objs) is set:
+            return triple.object in objs
+        return objs is not None and objs == triple.object
 
     def __iter__(self) -> Iterator[Triple]:
         return iter(sorted(self._statements(), key=Triple.sort_key))
@@ -334,30 +369,33 @@ class TripleStore:
         store's predicates in POS.
         """
         if subject is not None and predicate is not None and obj is not None:
-            if obj in self._spo.get(subject, _NO_SLOT).get(predicate, ()):
-                yield Triple(subject, predicate, obj)
+            triple = Triple(subject, predicate, obj)
+            if triple in self:
+                yield triple
             return
         if subject is not None:
             by_pred = self._spo.get(subject, _NO_SLOT)
             predicates = [predicate] if predicate is not None else list(by_pred)
             for pred in predicates:
-                for o in list(by_pred.get(pred, ())):
+                for o in self.objects(subject, pred):
                     if obj is None or o == obj:
                         yield Triple(subject, pred, o)
             return
         if predicate is not None:
             by_obj = self._pos.get(predicate, _NO_SLOT)
-            objects = [obj] if obj is not None else list(by_obj)
-            for o in objects:
-                for s in list(by_obj.get(o, ())):
+            for o in [obj] if obj is not None else list(by_obj):
+                for s in self.subjects(predicate, o):
                     yield Triple(s, predicate, o)
             return
         if obj is not None:
-            yield from [
-                Triple(s, pred, obj)
-                for pred, by_obj in self._pos.items()
-                for s in by_obj.get(obj, ())
-            ]
+            found = []
+            for pred, by_obj in self._pos.items():
+                subjects = by_obj.get(obj)
+                if subjects is None:
+                    continue
+                for s in subjects if type(subjects) is set else (subjects,):
+                    found.append(Triple(s, pred, obj))
+            yield from found
             return
         yield from self._statements()
 
@@ -381,19 +419,30 @@ class TripleStore:
         if subject is not None:
             by_pred = self._spo.get(subject, _NO_SLOT)
             if predicate is not None:
-                objs = by_pred.get(predicate, ())
-                if obj is not None:
-                    return 1 if obj in objs else 0
-                return len(objs)
+                objs = by_pred.get(predicate)
+                if type(objs) is set:
+                    return len(objs) if obj is None else int(obj in objs)
+                return int(objs is not None and (obj is None or objs == obj))
             if obj is not None:
-                return sum(1 for objs in by_pred.values() if obj in objs)
-            return sum(map(len, by_pred.values()))
+                return sum(1 for objs in by_pred.values()
+                           if (obj in objs if type(objs) is set else objs == obj))
+            # one per predicate, plus the extra members of multi-valued slots
+            return len(by_pred) + sum(len(objs) - 1 for objs in by_pred.values()
+                                      if type(objs) is set)
         if predicate is not None:
             if obj is not None:
-                return len(self._pos.get(predicate, _NO_SLOT).get(obj, ()))
+                subjects = self._pos.get(predicate, _NO_SLOT).get(obj)
+                if type(subjects) is set:
+                    return len(subjects)
+                return int(subjects is not None)
             return self._predicate_counts.get(predicate, 0)
         if obj is not None:
-            return sum(len(by_obj.get(obj, ())) for by_obj in self._pos.values())
+            total = 0
+            for by_obj in self._pos.values():
+                subjects = by_obj.get(obj)
+                if subjects is not None:
+                    total += len(subjects) if type(subjects) is set else 1
+            return total
         return self._size
 
     #: shared empty result for the *_set accessors below
@@ -402,16 +451,23 @@ class TripleStore:
     def object_set(self, subject: Subject, predicate: IRI) -> AbstractSet[Object]:
         """The objects of (subject, predicate, ?) as a set.
 
-        Returns a live read-only view of the index — do not mutate; the
-        query planner's bind-joins intersect these directly.  The view
-        stops following the store once its last object is removed.
+        With two or more objects this is the index's own set — read-only,
+        do not mutate; the query planner's bind-joins intersect these
+        directly — which stops following the store once the slot drops
+        to one object.  With one it is a new one-element frozenset.
         """
-        return self._spo.get(subject, _NO_SLOT).get(predicate) or self._EMPTY
+        objs = self._spo.get(subject, _NO_SLOT).get(predicate)
+        if type(objs) is set:
+            return objs
+        return self._EMPTY if objs is None else frozenset((objs,))
 
     def subject_set(self, predicate: IRI, obj: Object) -> AbstractSet[Subject]:
-        """The subjects of (?, predicate, object) as a set (a live
-        read-only view, like :meth:`object_set`)."""
-        return self._pos.get(predicate, _NO_SLOT).get(obj) or self._EMPTY
+        """The subjects of (?, predicate, object) as a set (the index's
+        own set or a new one-element frozenset, like :meth:`object_set`)."""
+        subjects = self._pos.get(predicate, _NO_SLOT).get(obj)
+        if type(subjects) is set:
+            return subjects
+        return self._EMPTY if subjects is None else frozenset((subjects,))
 
     def predicate_set(self, subject: Subject, obj: Object) -> AbstractSet[IRI]:
         """The predicates of (subject, ?, object) as a new set.
@@ -423,12 +479,15 @@ class TripleStore:
         return {
             predicate
             for predicate, objs in self._spo.get(subject, _NO_SLOT).items()
-            if obj in objs
+            if (obj in objs if type(objs) is set else objs == obj)
         }
 
     def objects(self, subject: Subject, predicate: IRI) -> List[Object]:
         """All objects of (subject, predicate, ?)."""
-        return list(self._spo.get(subject, _NO_SLOT).get(predicate, ()))
+        objs = self._spo.get(subject, _NO_SLOT).get(predicate)
+        if type(objs) is set:
+            return list(objs)
+        return [] if objs is None else [objs]
 
     def object(self, subject: Subject, predicate: IRI) -> Optional[Object]:
         """The single object of a functional property, or None.
@@ -446,7 +505,10 @@ class TripleStore:
 
     def subjects(self, predicate: IRI, obj: Object) -> List[Subject]:
         """All subjects of (?, predicate, object)."""
-        return list(self._pos.get(predicate, _NO_SLOT).get(obj, ()))
+        subjects = self._pos.get(predicate, _NO_SLOT).get(obj)
+        if type(subjects) is set:
+            return list(subjects)
+        return [] if subjects is None else [subjects]
 
     def subjects_of_type(self, type_iri: Object) -> List[Subject]:
         from .vocabulary import RDF_TYPE
@@ -460,7 +522,7 @@ class TripleStore:
     def describe(self, subject: Subject) -> Dict[IRI, List[Object]]:
         """All (predicate → objects) for one subject."""
         return {
-            pred: sorted(objs, key=lambda o: str(o))
+            pred: sorted(objs, key=str) if type(objs) is set else [objs]
             for pred, objs in self._spo.get(subject, _NO_SLOT).items()
         }
 

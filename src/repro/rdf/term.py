@@ -9,12 +9,26 @@ and 4) it has significant development support."*
 This is a small, self-contained term model — enough RDF to make the
 blackboard real (typed literals, blank nodes, lexicographic ordering for
 deterministic serialization) without pulling in an external toolkit.
+
+Each term is a tagged ``tuple``: ``IRI`` is ``(0, value)``,
+``BlankNode`` is ``(1, label)`` and ``Literal`` is
+``(2, lexical, datatype)``.  Every index insert and lookup of the triple
+store hashes and compares terms, and as tuples they do both in C, with
+no hash cached on the instance (so a pickled term hashes right under
+another process's string-hash seed).  The tag orders the kinds, so the
+native order is :func:`term_sort_key`'s: IRIs < blanks < literals, each
+kind by its fields.  Two consequences of the tuple layout:
+
+- a term equals the plain tuple of its tag and fields
+  (``IRI("urn:a") == (0, "urn:a")``), and hashes like it;
+- terms of different kinds compare for order instead of raising
+  ``TypeError``.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from operator import itemgetter
 from typing import Any, Union
 
 _XSD = "http://www.w3.org/2001/XMLSchema#"
@@ -25,48 +39,42 @@ XSD_INTEGER = _XSD + "integer"
 XSD_DOUBLE = _XSD + "double"
 
 
-@dataclass(frozen=True, order=True)
-class IRI:
+class IRI(tuple):
     """An absolute IRI naming a resource."""
 
-    value: str
+    __slots__ = ()
+    value = property(itemgetter(1))
 
-    def __post_init__(self) -> None:
-        if not self.value:
+    def __new__(cls, value: str) -> "IRI":
+        if not value:
             raise ValueError("IRI must be non-empty")
-        object.__setattr__(self, "_hash", hash(self.value))
+        return tuple.__new__(cls, (0, value))
 
-    def __hash__(self) -> int:
-        # terms are hashed on every index insert/lookup; the cached value
-        # turns that into one attribute read (interned IRIs hash once ever)
-        try:
-            return self._hash
-        except AttributeError:  # copied/unpickled around __init__
-            value = hash(self.value)
-            object.__setattr__(self, "_hash", value)
-            return value
+    def __getnewargs__(self) -> tuple:
+        return (self[1],)
+
+    def __repr__(self) -> str:
+        return f"IRI(value={self[1]!r})"
 
     def __str__(self) -> str:
-        return f"<{self.value}>"
+        return f"<{self[1]}>"
 
 
-@dataclass(frozen=True, order=True)
-class Literal:
+class Literal(tuple):
     """A typed RDF literal with its lexical form."""
 
-    lexical: str
-    datatype: str = XSD_STRING
+    __slots__ = ()
+    lexical = property(itemgetter(1))
+    datatype = property(itemgetter(2))
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "_hash", hash((self.lexical, self.datatype)))
+    def __new__(cls, lexical: str, datatype: str = XSD_STRING) -> "Literal":
+        return tuple.__new__(cls, (2, lexical, datatype))
 
-    def __hash__(self) -> int:
-        try:
-            return self._hash
-        except AttributeError:
-            value = hash((self.lexical, self.datatype))
-            object.__setattr__(self, "_hash", value)
-            return value
+    def __getnewargs__(self) -> tuple:
+        return (self[1], self[2])
+
+    def __repr__(self) -> str:
+        return f"Literal(lexical={self[1]!r}, datatype={self[2]!r})"
 
     def __str__(self) -> str:
         escaped = (
@@ -94,25 +102,23 @@ class Literal:
 _blank_counter = itertools.count(1)
 
 
-@dataclass(frozen=True, order=True)
-class BlankNode:
+class BlankNode(tuple):
     """An anonymous node.  Fresh labels come from :func:`fresh_blank`."""
 
-    label: str
+    __slots__ = ()
+    label = property(itemgetter(1))
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "_hash", hash(self.label))
+    def __new__(cls, label: str) -> "BlankNode":
+        return tuple.__new__(cls, (1, label))
 
-    def __hash__(self) -> int:
-        try:
-            return self._hash
-        except AttributeError:
-            value = hash(self.label)
-            object.__setattr__(self, "_hash", value)
-            return value
+    def __getnewargs__(self) -> tuple:
+        return (self[1],)
+
+    def __repr__(self) -> str:
+        return f"BlankNode(label={self[1]!r})"
 
     def __str__(self) -> str:
-        return f"_:{self.label}"
+        return f"_:{self[1]}"
 
 
 def fresh_blank(prefix: str = "b") -> BlankNode:
@@ -129,7 +135,7 @@ Term = Union[IRI, BlankNode, Literal]
 
 
 #: interned boolean literals — every matrix cell carries one, so sharing
-#: the two instances (and their cached hashes) keeps bulk writes cheap
+#: the two instances keeps bulk writes from allocating one per cell
 _TRUE = Literal("true", XSD_BOOLEAN)
 _FALSE = Literal("false", XSD_BOOLEAN)
 
@@ -153,10 +159,9 @@ def literal(value: Any) -> Literal:
     return Literal(str(value), XSD_STRING)
 
 
-def term_sort_key(term: Term) -> tuple:
-    """Total order across term kinds: IRIs < blanks < literals."""
-    if isinstance(term, IRI):
-        return (0, term.value, "")
-    if isinstance(term, BlankNode):
-        return (1, term.label, "")
-    return (2, term.lexical, term.datatype)
+def term_sort_key(term: Term) -> Term:
+    """Total order across term kinds: IRIs < blanks < literals.
+
+    Terms order natively that way, so the key is the term itself.
+    """
+    return term

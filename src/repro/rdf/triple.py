@@ -3,9 +3,8 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Tuple
 
-from .term import IRI, Object, Subject, term_sort_key
+from .term import IRI, Object, Subject
 
 
 @dataclass(frozen=True)
@@ -22,22 +21,10 @@ class Triple:
                 f"predicate must be an IRI, got {type(self.predicate).__name__}"
             )
 
-    def __hash__(self) -> int:
-        # the store indexes terms, never triples, so most triples are not
-        # hashed at all; the few put in sets (snapshots) cache it on first use
-        try:
-            return self._hash
-        except AttributeError:
-            value = hash((self.subject, self.predicate, self.object))
-            object.__setattr__(self, "_hash", value)
-            return value
-
-    def sort_key(self) -> Tuple[tuple, tuple, tuple]:
-        return (
-            term_sort_key(self.subject),
-            term_sort_key(self.predicate),
-            term_sort_key(self.object),
-        )
+    def sort_key(self) -> tuple:
+        """Terms order natively (see :mod:`repro.rdf.term`), so the key
+        is the statement's own terms."""
+        return (self.subject, self.predicate, self.object)
 
     def __str__(self) -> str:
         return f"{self.subject} {self.predicate} {self.object} ."

@@ -21,6 +21,7 @@ from concurrent.futures import TimeoutError as FuturesTimeoutError
 from typing import Any, Dict, Optional
 
 from ..core.matrix import MappingMatrix
+from ..rdf.term import IRI, BlankNode, Literal
 from ..workbench.evolution import RematchReport
 from .jobs import (
     JobHandle,
@@ -144,6 +145,9 @@ def _jsonify(result: Any) -> Any:
             "decisions_kept": len(result.decisions_kept),
             "decisions_lost": len(result.decisions_lost),
         }
+    if isinstance(result, (IRI, BlankNode, Literal)):
+        # terms are tuples too: send their N-Triples form, not their fields
+        return str(result)
     if isinstance(result, tuple):
         return [_jsonify(item) for item in result]
     if isinstance(result, list):

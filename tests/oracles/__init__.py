@@ -17,7 +17,9 @@ oracles: the differential suites and the relative gates of
 * :func:`voter_column` / :func:`merge_pair` — each built-in voter's
   per-pair body and the per-pair vote merge (``tests/oracles/voters.py``);
   the column voters and ``VoteMerger.merge_columns`` reproduce them bit
-  for bit.
+  for bit;
+* :func:`term_sort_key` — the field-by-field order across term kinds
+  (``tests/oracles/terms.py``); terms sort natively the same way.
 
 Import as ``from tests.oracles import ...`` (benchmarks put the repo
 root on ``sys.path`` first).
@@ -26,6 +28,7 @@ root on ``sys.path`` first).
 from .blocking import blocking_candidates
 from .flooding import classic_flooding, directional_flooding, pcg_edges
 from .query import evaluate_reference
+from .terms import term_sort_key
 from .voters import merge_pair, voter_column
 
 __all__ = [
@@ -35,5 +38,6 @@ __all__ = [
     "evaluate_reference",
     "merge_pair",
     "pcg_edges",
+    "term_sort_key",
     "voter_column",
 ]

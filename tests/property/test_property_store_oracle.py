@@ -173,6 +173,16 @@ class StoreAgainstSet(RuleBasedStateMachine):
     def revision_counts_applied_changes(self):
         assert self.store.revision == self.revision == self.notified
 
+    @invariant()
+    def one_value_slots_hold_no_set(self):
+        """A slot is a bare term until its second value, whatever the
+        history of adds and removes that led to it."""
+        for index in (self.store._spo, self.store._pos):
+            for inner in index.values():
+                assert inner
+                for slot in inner.values():
+                    assert type(slot) is not set or len(slot) >= 2
+
 
 TestStoreAgainstSet = StoreAgainstSet.TestCase
 TestStoreAgainstSet.settings = settings(
@@ -229,3 +239,31 @@ def test_blackboard_keeps_few_tracked_objects_per_triple():
     stored = len(manager.blackboard.store)
     assert stored > 9000
     assert (len(gc.get_objects()) - before) / stored <= 2.5
+
+
+def test_one_value_slots_keep_tracked_objects_per_triple_low():
+    """The same write as above leaves at most 0.75 GC-tracked objects per
+    stored triple: a one-value index slot holds a bare term, not a set."""
+    scenario = generate_scenario(air_traffic_model(), ScenarioConfig(seed=7))
+    matrix = MappingMatrix("air->traffic")
+    rows = [e.element_id for e in scenario.source][1:41]
+    columns = [e.element_id for e in scenario.target][1:41]
+    for row in rows:
+        matrix.add_row(row, schema_name=scenario.source.name)
+    for column in columns:
+        matrix.add_column(column, schema_name=scenario.target.name)
+    matrix.set_cells(
+        (row, column, ((i * 37 + j * 11) % 100) / 100)
+        for i, row in enumerate(rows) for j, column in enumerate(columns))
+    manager = WorkbenchManager()
+    gc.collect()
+    before = len(gc.get_objects())
+    for write, item in ((manager.blackboard.put_schema, scenario.source),
+                        (manager.blackboard.put_schema, scenario.target),
+                        (manager.blackboard.put_matrix, matrix)):
+        with manager.transaction():
+            write(item)
+    gc.collect()
+    stored = len(manager.blackboard.store)
+    assert stored > 9000
+    assert (len(gc.get_objects()) - before) / stored <= 0.75

@@ -168,3 +168,41 @@ class TestListeners:
         store.add(A, P, B)       # already present
         store.remove(C, Q, B)    # never present
         assert log == []
+
+
+class TestSlotShapes:
+    """A slot holds a bare term at one value and a set from two on."""
+
+    def test_a_slot_grows_into_a_set_and_collapses_back(self):
+        store = TripleStore()
+        store.add(A, P, B)
+        assert store._spo[A][P] == B and store._pos[P][B] == A
+        store.add(A, P, C)
+        store.add(C, P, B)
+        assert store._spo[A][P] == {B, C} and type(store._spo[A][P]) is set
+        assert store._pos[P][B] == {A, C} and type(store._pos[P][B]) is set
+        store.remove(A, P, C)
+        store.remove(C, P, B)
+        assert store._spo[A][P] == B and store._pos[P][B] == A
+        assert store.objects(A, P) == [B] and store.subjects(P, B) == [A]
+        store.remove(A, P, B)
+        assert store._spo == {} and store._pos == {}
+
+    def test_subject_slice_values_are_sets_for_set_algebra(self, store):
+        """The schema delta write computes ``objs - set(want)``."""
+        sliced = store.subject_slice(A)
+        assert sliced == {P: {B, C}, Q: {literal("hello")}}
+        assert all(isinstance(objs, (set, frozenset)) for objs in sliced.values())
+        assert sliced[P] - {B} == {C}
+        assert sliced[Q] - set() == {literal("hello")}
+        assert sliced[Q] - {literal("hello")} == set()
+        assert store.subject_slice(C) == {}
+        store.remove(A, Q, literal("hello"))
+        assert Q in sliced and Q not in store.subject_slice(A)
+
+    def test_object_and_subject_sets_intersect(self, store):
+        assert store.object_set(A, P) & store.object_set(B, P) == {C}
+        assert store.object_set(B, P) & store.object_set(A, P) == {C}
+        assert store.subject_set(P, C) & store.subject_set(P, B) == {A}
+        assert store.object_set(A, Q) & store.object_set(A, P) == frozenset()
+        assert store.object_set(C, P) & store.object_set(A, P) == frozenset()

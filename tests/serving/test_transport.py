@@ -6,11 +6,13 @@ import struct
 
 import pytest
 
+from repro.rdf import BlankNode, IRI, Literal, XSD_INTEGER
 from repro.serving import (
     TcpWorkbenchClient,
     handle_request,
     serve_tcp,
 )
+from repro.serving.server import QUERY_FUNCS
 
 
 def _frame(message):
@@ -58,6 +60,23 @@ class TestGateway:
         # a fetched result is forgotten: polling again is an error
         again = handle_request(server, {"op": "result", "job_id": job_id})
         assert not again["ok"]
+
+    def test_terms_in_a_query_result_go_out_as_n_triples(
+            self, make_server, monkeypatch):
+        """Terms are tuples; the gateway must not send their fields."""
+        monkeypatch.setitem(QUERY_FUNCS, "terms", lambda store: [
+            IRI("urn:a"), (BlankNode("b1"), Literal("7", XSD_INTEGER)),
+            [Literal("x")]])
+        server = make_server()
+        submitted = handle_request(server, {
+            "op": "submit", "session": "s", "kind": "query",
+            "params": {"name": "terms"}})
+        result = handle_request(server, {
+            "op": "result", "job_id": submitted["job_id"], "timeout": 30})
+        assert result["ok"]
+        assert result["result"] == [
+            "<urn:a>", ["_:b1", f'"7"^^<{XSD_INTEGER}>'], ['"x"']]
+        json.dumps(result)
 
     def test_non_wire_kind_rejected(self, make_server):
         server = make_server()
